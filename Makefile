@@ -8,7 +8,7 @@ PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 #: `make test-faults CHAOS_SEEDS=1,2,3,4`.
 CHAOS_SEEDS ?= 13,2021,77
 
-.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench bench-exchange bench-streaming bench-skew bench-online bench-service bench-kernels bench-obs bench-cas verify
+.PHONY: test test-fuzz test-faults test-skew test-service test-obs test-cas collect bench bench-exchange bench-streaming bench-skew bench-online bench-service bench-kernels bench-obs bench-cas verify
 
 # Tier-1 suite (must stay green).  Runs the chaos suite first with the
 # pinned seed matrix, then the skew suite, then the multi-tenant
@@ -17,6 +17,13 @@ CHAOS_SEEDS ?= 13,2021,77
 # under their in-repo defaults — identical by default).
 test: test-faults test-skew test-service test-obs test-cas
 	$(PYTEST) -x -q
+
+# Exploratory property fuzzing: the whole tree under the Hypothesis
+# `fuzz` profile (tests/conftest.py) — random draws, more examples, and
+# a local example database replaying what earlier fuzz runs found.
+# Tier-1 (`make test`) stays on the deterministic `tier1` profile.
+test-fuzz:
+	$(PYTEST) -x -q --hypothesis-profile=fuzz
 
 # Chaos suite alone: crash-injected shuffles on all four exchange
 # substrates (sharded relay fleet included), speculation parity, and

@@ -63,7 +63,11 @@ def _run_cell(config, substrate, mode):
         return {
             "result": result,
             "latency_s": cloud.sim.now - started,
-            "cost_usd": cloud.meter.since(marker).total_usd,
+            # The meter charges provisioned nodes and VMs only when they
+            # terminate (after both sorts), so each sort adds its own
+            # provisioned dollars from the report (0 on object storage).
+            "cost_usd": cloud.meter.since(marker).total_usd
+            + operator.report.provisioned_usd,
             "dedup_bytes": operator.report.extra.get("dedup_bytes", 0.0),
             "digest": _digest(cloud, result),
             "manifest": operator.run_manifest,

@@ -7,24 +7,29 @@ Table 1 experiment) compose:
 ``methylome_dataset``  generate a synthetic ENCFF988BSW-like bedMethyl
                        payload and upload it to object storage
 ``dataset_ref``        point at an existing object (pre-staged input)
-``shuffle_sort``       sort through object storage with serverless
-                       functions (Primula) — configuration **B**
+``sort``               serverless sort over any exchange substrate, in
+                       either execution mode: ``substrate=``
+                       ``objectstore`` (default; Primula —
+                       configuration **B**), ``cache`` (an in-memory
+                       cache cluster — **C**, experiment S8),
+                       ``relay`` (an in-memory relay on a provisioned
+                       VM — **D**) or ``sharded-relay`` (a multi-relay
+                       fleet lifting one NIC's ceiling — **E**, S8b);
+                       ``mode=`` ``staged`` (default) or ``streaming``
+                       (the reduce wave overlaps the map wave and
+                       reducers consume partitions while mappers are
+                       still producing — S10)
+``shuffle_sort``       alias of ``sort`` presetting objectstore, staged
+``cache_sort``         alias of ``sort`` presetting cache, staged
+``relay_sort``         alias of ``sort`` presetting relay, staged
+``sharded_relay_sort`` alias of ``sort`` presetting sharded-relay, staged
+``streaming_sort``     alias of ``sort`` presetting streaming mode (the
+                       substrate stays a param)
 ``vm_sort``            sort inside a provisioned VM — configuration **A**
-``cache_sort``         sort with serverless functions exchanging via an
-                       in-memory cache cluster — configuration **C**
-                       (the ElastiCache alternative, experiment S8)
-``relay_sort``         sort with serverless functions exchanging via an
-                       in-memory relay on a provisioned VM —
-                       configuration **D** (experiment S8's third
-                       substrate)
-``sharded_relay_sort`` sort with serverless functions exchanging via a
-                       sharded multi-relay fleet — configuration **E**
-                       (experiment S8b: lifts the single relay's NIC
-                       ceiling with N instances)
 ``auto_sort``          adaptive sort: picks the exchange substrate at
                        DAG-execution time with
-                       ``choose_exchange_substrate`` and dispatches to
-                       the chosen substrate's sort stage, recording the
+                       ``choose_exchange_substrate`` and runs ``sort``
+                       with the chosen configuration, recording the
                        decision in the stage report; with
                        ``modes=("staged", "streaming")`` the execution
                        mode is a decision variable too, and with
@@ -35,16 +40,12 @@ Table 1 experiment) compose:
                        from observed chunk rates after every wave and
                        may switch substrate/mode/workers mid-run,
                        recording a decision timeline (experiment S12)
-``streaming_sort``     pipelined sort on any substrate: the reduce wave
-                       launches concurrently with the map wave and
-                       reducers consume partitions while mappers are
-                       still producing (experiment S10)
 ``methcomp_encode``    embarrassingly parallel METHCOMP compression of
                        the sorted runs with cloud functions
 ``methcomp_verify``    decompress and check record conservation
 ==================  ====================================================
 
-Both sort kinds produce the same artifact shape (a list of sorted runs
+Every sort kind produces the same artifact shape (a list of sorted runs
 in partition order), so the encode stage is substrate-agnostic —
 exactly the property the paper's comparison relies on.
 """
@@ -62,8 +63,7 @@ from repro.methcomp.datagen import MethylomeGenerator, generate_skewed_bed_bytes
 from repro.methcomp.pipeline import bed_record_codec, decode_worker, encode_worker
 from repro.cloud.vm.fleet import fleet_ready, provision_fleet
 from repro.cloud.vm.relay import provision_relay, relay_ready
-from repro.shuffle.adaptive import choose_exchange_substrate
-from repro.shuffle.cacheoperator import CacheShuffleSort
+from repro.shuffle.adaptive import EXCHANGE_MODES, choose_exchange_substrate
 from repro.shuffle.content import (
     LineageCache,
     lineage_cache_for,
@@ -71,17 +71,12 @@ from repro.shuffle.content import (
 )
 from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.online import OnlineShuffleSort
-from repro.shuffle.operator import ShuffleSort
-from repro.shuffle.relay import RelayShuffleSort, ShardedRelayShuffleSort
+from repro.shuffle.operator import ShuffleSort, exchange_backend
 from repro.shuffle.relayplanner import (
     required_relay_fleet,
     required_relay_instance,
 )
-from repro.shuffle.streaming import (
-    STREAMING_BACKENDS,
-    StreamConfig,
-    StreamingShuffleSort,
-)
+from repro.shuffle.streaming import StreamConfig
 from repro.storage import paths
 from repro.workflows.engine import StageContext, register_stage_kind, stage_kind
 
@@ -259,30 +254,21 @@ def dataset_ref(context: StageContext, inputs: dict) -> t.Generator:
 
 
 # ----------------------------------------------------------------------
-# sort stages (the paper's two configurations)
+# sort stages (the paper's two configurations and the exchange matrix)
 # ----------------------------------------------------------------------
-def shuffle_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Configuration B: pure serverless sort through object storage.
+#: Substrate → provisioning helper of its stage-scoped infrastructure
+#: (object storage is pay-as-you-go and needs none).
+_PROVISIONERS: dict[str, t.Callable | None] = {
+    "objectstore": None,
+    "cache": _provision_cache_cluster,
+    "relay": _provision_relay_vm,
+    "sharded-relay": _provision_relay_shards,
+}
 
-    Params: ``workers`` (pin the count; omit to let the Primula planner
-    choose), ``max_workers``, ``memory_mb``, ``samplers``.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    operator = ShuffleSort(
-        executor, bed_record_codec(), cost=workload.shuffle_cost_model()
-    )
-    result = yield operator.sort(
-        upstream["bucket"],
-        upstream["key"],
-        out_bucket=context.bucket,
-        out_prefix=f"{context.spec.name}",
-        workers=context.param("workers"),
-        samplers=int(context.param("samplers", 8)),
-        max_workers=int(context.param("max_workers", 256)),
-    )
+
+def _result_fields(result) -> dict[str, t.Any]:
+    """A sort artifact's leading fields: the sorted runs in partition
+    order and the sort's shape."""
     return {
         "runs": [
             {
@@ -297,252 +283,98 @@ def shuffle_sort(context: StageContext, inputs: dict) -> t.Generator:
         "records": result.total_records,
         "duration_s": result.duration_s,
         "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": operator.report.substrate,
-        "predicted_s": operator.report.predicted_s,
-        "actual_s": operator.report.actual_s,
     }
 
 
-def cache_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Configuration C: serverless sort exchanging via a cache cluster.
+def _substrate_fields(substrate: str, report) -> dict[str, t.Any]:
+    """A staged sort artifact's per-substrate report fields."""
+    if substrate == "cache":
+        return {
+            "cache_nodes": report.nodes,
+            "cache_node_type": report.node_type,
+            "cache_peak_fill": report.peak_fill_fraction,
+        }
+    if substrate == "objectstore":
+        return {}
+    fields = {"relay_instance_type": report.instance_type}
+    if substrate == "sharded-relay":
+        fields["relay_shards"] = report.shards
+    fields["relay_peak_fill"] = report.peak_fill_fraction
+    fields["relay_backpressure_waits"] = report.backpressure_waits
+    return fields
 
-    Params: ``workers`` (pin the count; omit to let the cache planner
-    choose), ``memory_mb``, ``samplers``, ``max_workers``,
-    ``node_type`` (default cache.r5.large), ``nodes`` (0 = size the
-    cluster to fit the data), ``provisioning`` (``"warm"`` pre-provisioned
-    or ``"cold"`` on the clock), ``cleanup``.
 
-    The cluster lives exactly as long as the stage; its node-seconds are
-    billed into the stage's cost either way.
+def sort(
+    context: StageContext,
+    inputs: dict,
+    substrate: str | None = None,
+    mode: str | None = None,
+) -> t.Generator:
+    """Serverless sort over any exchange substrate, in either mode.
+
+    Params: ``substrate`` (``objectstore`` default — configuration B —
+    or ``cache`` / ``relay`` / ``sharded-relay``: configurations C, D and
+    E), ``mode`` (``staged`` default, or ``streaming``: the reduce wave
+    launches concurrently with the map wave and reducers consume
+    partitions through the substrate's readiness protocol behind
+    bounded buffers), plus the generic ``workers`` (pin the count; omit
+    to let the substrate's planner choose), ``memory_mb``, ``samplers``,
+    ``max_workers``.
+
+    Provisioned substrates take ``provisioning`` (``"warm"``
+    pre-provisioned or ``"cold"`` on the clock) and their sizing:
+    ``node_type``/``nodes`` (cache; 0 nodes sizes to fit),
+    ``instance_type`` (relay; omit to auto-size) and ``shards``
+    (sharded relay; default 2, 0 auto-sizes).  The infrastructure lives
+    exactly as long as the stage and is billed into its cost either way.
+    Staged cache sorts take ``cleanup`` and staged relay sorts
+    ``consume`` (reducer-side deletion; the substrate is reclaimed at
+    stage end regardless).  Streaming sorts take ``chunk_mb`` (logical
+    chunk grain, default 32), ``buffer_mb`` (reducer buffer bound,
+    default 256; 0 disables backpressure) and ``poll_interval`` (COS
+    manifest polls, default 0.2 s).
+
+    The artifact is the sorted runs plus the report's decision inputs:
+    the substrate's fill and request fields for a staged sort, the
+    streaming observables (measured ``overlap_s``, buffer high
+    watermark, backpressure waits, chunk count) for a streaming one.
     """
     upstream = _single_input(inputs, context.spec.name)
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    cluster = yield from _provision_cache_cluster(
-        context, upstream["logical_bytes"]
-    )
-    cost = workload.cache_shuffle_cost_model()
-    cost.cleanup = bool(context.param("cleanup", False))
-    operator = CacheShuffleSort(executor, bed_record_codec(), cluster, cost=cost)
-    try:
-        result = yield operator.sort(
-            upstream["bucket"],
-            upstream["key"],
-            out_bucket=context.bucket,
-            out_prefix=f"{context.spec.name}",
-            workers=context.param("workers"),
-            samplers=int(context.param("samplers", 8)),
-            max_workers=int(context.param("max_workers", 256)),
-        )
-    finally:
-        _release_substrate(cluster)
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": operator.report.substrate,
-        "predicted_s": operator.report.predicted_s,
-        "actual_s": operator.report.actual_s,
-        "cache_nodes": operator.report.nodes,
-        "cache_node_type": operator.report.node_type,
-        "cache_peak_fill": operator.report.peak_fill_fraction,
-    }
-
-
-def relay_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Configuration D: serverless sort exchanging via a VM relay.
-
-    Params: ``workers`` (pin the count; omit to let the relay planner
-    choose), ``memory_mb``, ``samplers``, ``max_workers``,
-    ``instance_type`` (omit to auto-size the smallest flavour that
-    holds the data), ``provisioning`` (``"warm"`` pre-provisioned or
-    ``"cold"`` pays VM boot on the clock), ``consume`` (default False —
-    opt-in reducer-side deletion for crash-free runs; the relay VM is
-    terminated at stage end either way, reclaiming everything).
-
-    The relay VM lives exactly as long as the stage; its instance-
-    seconds are billed into the stage's cost either way.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    relay = yield from _provision_relay_vm(context, upstream["logical_bytes"])
-    cost = workload.relay_shuffle_cost_model()
-    cost.consume = bool(context.param("consume", False))
-    operator = RelayShuffleSort(executor, bed_record_codec(), relay, cost=cost)
-    try:
-        result = yield operator.sort(
-            upstream["bucket"],
-            upstream["key"],
-            out_bucket=context.bucket,
-            out_prefix=f"{context.spec.name}",
-            workers=context.param("workers"),
-            samplers=int(context.param("samplers", 8)),
-            max_workers=int(context.param("max_workers", 256)),
-        )
-    finally:
-        _release_substrate(relay)
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": operator.report.substrate,
-        "predicted_s": operator.report.predicted_s,
-        "actual_s": operator.report.actual_s,
-        "relay_instance_type": operator.report.instance_type,
-        "relay_peak_fill": operator.report.peak_fill_fraction,
-        "relay_backpressure_waits": operator.report.backpressure_waits,
-    }
-
-
-def sharded_relay_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Configuration E: serverless sort via a sharded VM-relay fleet.
-
-    Params: ``workers`` (pin the count; omit to let the relay planner
-    choose), ``memory_mb``, ``samplers``, ``max_workers``, ``shards``
-    (default 2; ``0`` auto-sizes the fleet), ``instance_type`` (omit to
-    auto-size the cheapest flavour whose fleet holds the data),
-    ``provisioning`` (``"warm"`` pre-provisioned or ``"cold"`` pays the
-    parallel VM boots on the clock), ``consume``.
-
-    The fleet lives exactly as long as the stage; all N instances'
-    instance-seconds are billed into the stage's cost either way.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    fleet = yield from _provision_relay_shards(
-        context, upstream["logical_bytes"]
-    )
-    cost = workload.relay_shuffle_cost_model()
-    cost.consume = bool(context.param("consume", False))
-    operator = ShardedRelayShuffleSort(executor, bed_record_codec(), fleet, cost=cost)
-    try:
-        result = yield operator.sort(
-            upstream["bucket"],
-            upstream["key"],
-            out_bucket=context.bucket,
-            out_prefix=f"{context.spec.name}",
-            workers=context.param("workers"),
-            samplers=int(context.param("samplers", 8)),
-            max_workers=int(context.param("max_workers", 256)),
-        )
-    finally:
-        _release_substrate(fleet, fleet=True)
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": operator.report.substrate,
-        "predicted_s": operator.report.predicted_s,
-        "actual_s": operator.report.actual_s,
-        "relay_instance_type": operator.report.instance_type,
-        "relay_shards": operator.report.shards,
-        "relay_peak_fill": operator.report.peak_fill_fraction,
-        "relay_backpressure_waits": operator.report.backpressure_waits,
-    }
-
-
-def streaming_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Pipelined sort: the reduce wave overlaps the map wave.
-
-    Runs :class:`~repro.shuffle.streaming.StreamingShuffleSort` on any
-    of the four exchange substrates — reducers subscribe to their
-    partition through the substrate's readiness protocol (manifest
-    polling on COS, set notification on the cache, rendezvous pulls on
-    the relays) and consume chunks while mappers are still producing,
-    behind bounded buffers that exert backpressure.
-
-    Params: ``substrate`` (``objectstore`` default, or ``cache`` /
-    ``relay`` / ``sharded-relay``), ``chunk_mb`` (logical chunk grain,
-    default 32), ``buffer_mb`` (reducer buffer bound, default 256; 0
-    disables backpressure), ``poll_interval`` (COS manifest polls,
-    default 0.2 s), plus the chosen substrate's usual provisioning
-    params (``node_type``/``nodes``, ``instance_type``, ``shards``,
-    ``provisioning``) and the generic
-    ``workers``/``memory_mb``/``samplers``/``max_workers``.
-
-    The artifact carries the streaming observables next to the usual
-    sort fields: measured map/reduce ``overlap_s``, the reducer
-    buffers' high watermark, and the summed backpressure waits.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    substrate = context.param("substrate", "objectstore")
-    if substrate not in STREAMING_BACKENDS:
+    substrate = substrate or context.param("substrate", "objectstore")
+    mode = mode or context.param("mode", "staged")
+    if substrate not in _PROVISIONERS:
         raise WorkflowError(
             f"stage {context.spec.name!r}: unknown substrate {substrate!r}; "
-            f"expected one of {sorted(STREAMING_BACKENDS)}"
+            f"expected one of {sorted(_PROVISIONERS)}"
+        )
+    if mode not in EXCHANGE_MODES:
+        raise WorkflowError(
+            f"stage {context.spec.name!r}: unknown mode {mode!r}; "
+            f"expected one of {list(EXCHANGE_MODES)}"
         )
     memory_mb = int(context.param("memory_mb", 2048))
     executor = _function_executor(context, memory_mb)
     workload = _workload(context)
-    buffer_mb = float(context.param("buffer_mb", 256.0))
-    stream = StreamConfig(
-        chunk_bytes=float(context.param("chunk_mb", 32.0)) * (1 << 20),
-        buffer_bytes=buffer_mb * (1 << 20) if buffer_mb > 0 else None,
-        poll_interval_s=float(context.param("poll_interval", 0.2)),
-    )
+    stream = None
+    if mode == "streaming":
+        buffer_mb = float(context.param("buffer_mb", 256.0))
+        stream = StreamConfig(
+            chunk_bytes=float(context.param("chunk_mb", 32.0)) * (1 << 20),
+            buffer_bytes=buffer_mb * (1 << 20) if buffer_mb > 0 else None,
+            poll_interval_s=float(context.param("poll_interval", 0.2)),
+        )
     _validated_provisioning(context)  # fail fast before provisioning
 
+    provision = _PROVISIONERS[substrate]
     provisioned = None
-    if substrate == "objectstore":
-        backend = STREAMING_BACKENDS[substrate](
-            cost=workload.shuffle_cost_model(), stream=stream
-        )
-    elif substrate == "cache":
-        provisioned = yield from _provision_cache_cluster(
-            context, upstream["logical_bytes"]
-        )
-        backend = STREAMING_BACKENDS[substrate](
-            provisioned, cost=workload.cache_shuffle_cost_model(), stream=stream
-        )
-    else:
-        if substrate == "relay":
-            provisioned = yield from _provision_relay_vm(
-                context, upstream["logical_bytes"]
-            )
-        else:  # sharded-relay
-            provisioned = yield from _provision_relay_shards(
-                context, upstream["logical_bytes"]
-            )
-        backend = STREAMING_BACKENDS[substrate](
-            provisioned, cost=workload.relay_shuffle_cost_model(), stream=stream
-        )
-
-    operator = StreamingShuffleSort(executor, bed_record_codec(), backend=backend)
+    if provision is not None:
+        provisioned = yield from provision(context, upstream["logical_bytes"])
+    backend = exchange_backend(substrate, provisioned, workload, stream)
+    if substrate == "cache":
+        backend.cost.cleanup = bool(context.param("cleanup", False))
+    elif substrate != "objectstore":
+        backend.cost.consume = bool(context.param("consume", False))
+    operator = ShuffleSort(executor, bed_record_codec(), backend=backend)
     try:
         result = yield operator.sort(
             upstream["bucket"],
@@ -556,29 +388,47 @@ def streaming_sort(context: StageContext, inputs: dict) -> t.Generator:
     finally:
         _release_substrate(provisioned, fleet=substrate == "sharded-relay")
     report = operator.report
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": substrate,
-        "mode": report.mode,
-        "predicted_s": report.predicted_s,
-        "actual_s": report.actual_s,
-        "overlap_s": report.overlap_s,
-        "buffer_high_watermark_bytes": report.buffer_high_watermark_bytes,
-        "buffer_backpressure_waits": report.buffer_backpressure_waits,
-        "stream_chunks": report.stream_chunks,
-    }
+    artifact = _result_fields(result)
+    artifact["substrate"] = report.substrate
+    if mode == "staged":
+        artifact.update(predicted_s=report.predicted_s, actual_s=report.actual_s)
+        artifact.update(_substrate_fields(substrate, report))
+        return artifact
+    artifact.update(
+        mode=report.mode,
+        predicted_s=report.predicted_s,
+        actual_s=report.actual_s,
+        overlap_s=report.overlap_s,
+        buffer_high_watermark_bytes=report.buffer_high_watermark_bytes,
+        buffer_backpressure_waits=report.buffer_backpressure_waits,
+        stream_chunks=report.stream_chunks,
+    )
+    return artifact
+
+
+def shuffle_sort(context: StageContext, inputs: dict) -> t.Generator:
+    """Configuration B: ``sort`` through object storage, staged."""
+    return sort(context, inputs, substrate="objectstore", mode="staged")
+
+
+def cache_sort(context: StageContext, inputs: dict) -> t.Generator:
+    """Configuration C: ``sort`` exchanging via a cache cluster, staged."""
+    return sort(context, inputs, substrate="cache", mode="staged")
+
+
+def relay_sort(context: StageContext, inputs: dict) -> t.Generator:
+    """Configuration D: ``sort`` exchanging via a VM relay, staged."""
+    return sort(context, inputs, substrate="relay", mode="staged")
+
+
+def sharded_relay_sort(context: StageContext, inputs: dict) -> t.Generator:
+    """Configuration E: ``sort`` via a sharded VM-relay fleet, staged."""
+    return sort(context, inputs, substrate="sharded-relay", mode="staged")
+
+
+def streaming_sort(context: StageContext, inputs: dict) -> t.Generator:
+    """``sort`` in streaming mode on the ``substrate`` param's substrate."""
+    return sort(context, inputs, mode="streaming")
 
 
 # ----------------------------------------------------------------------
@@ -641,23 +491,14 @@ def _lineage_store(
     lineage_cache_for(context.cloud.store).put(fingerprint, artifact)
 
 
-#: Substrate name → stage kind executing that substrate's sort.
-_AUTO_SORT_DISPATCH: dict[str, str] = {
-    "objectstore": "shuffle_sort",
-    "cache": "cache_sort",
-    "relay": "relay_sort",
-    "sharded-relay": "sharded_relay_sort",
-}
-
-
 def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     """Adaptive sort: choose the exchange substrate at execution time.
 
     Calls :func:`~repro.shuffle.adaptive.choose_exchange_substrate` on
-    the upstream dataset's logical size, then dispatches to the chosen
-    substrate's sort stage with the decision's configuration (worker
-    count, relay flavour, shard count) injected, so the stage executes
-    exactly what was priced.  The decision — every substrate's priced
+    the upstream dataset's logical size, then runs the ``sort`` stage
+    with the decision's configuration (substrate, mode, worker count,
+    relay flavour, shard count) injected, so the stage executes exactly
+    what was priced.  The decision — every substrate's priced
     estimate and the winner — is recorded in the stage artifact (and
     thereby the tracker report and Gantt label).
 
@@ -667,7 +508,7 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     own), ``substrates`` (restrict the candidates), ``modes``
     (``("staged",)`` by default; add ``"streaming"`` to price the
     pipelined execution mode as a second decision variable — a
-    streaming winner dispatches to ``streaming_sort``),
+    streaming winner runs ``sort`` with ``mode="streaming"``),
     ``stream_chunk_mb``/``stream_buffer_mb`` (the streaming grain and
     reducer buffer bound, used both for pricing and execution),
     ``max_relay_shards`` (default 8), ``cache_node_type``,
@@ -676,8 +517,8 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     straggler reducer in every candidate model, so a skewed workload
     may pick a different substrate/mode/configuration than a uniform
     one of the same size), plus the usual
-    ``memory_mb``/``samplers``/``max_workers`` passed through to the
-    dispatched stage.
+    ``memory_mb``/``samplers``/``max_workers`` passed through to
+    ``sort``.
     """
     if bool(context.param("online", False)):
         impl = stage_kind("online_sort")
@@ -717,15 +558,13 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     chosen = decision.chosen
     # Execute exactly the configuration the estimate priced.
     context.params["workers"] = chosen.workers
+    context.params["substrate"] = chosen.substrate
+    context.params["mode"] = chosen.mode
     if chosen.mode == "streaming":
-        impl = stage_kind("streaming_sort")
-        context.params["substrate"] = chosen.substrate
         context.params["chunk_mb"] = stream_chunk_mb
         context.params["buffer_mb"] = float(
             context.param("stream_buffer_mb", 256.0)
         )
-    else:
-        impl = stage_kind(_AUTO_SORT_DISPATCH[chosen.substrate])
     if chosen.substrate == "cache":
         context.params["node_type"] = chosen.instance_type
         context.params["nodes"] = chosen.shards
@@ -734,7 +573,7 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     elif chosen.substrate == "sharded-relay":
         context.params["instance_type"] = chosen.instance_type
         context.params["shards"] = chosen.shards
-    artifact = yield from impl(context, inputs)
+    artifact = yield from sort(context, inputs)
     artifact.update(
         substrate=chosen.substrate,
         substrate_mode=chosen.mode,
@@ -823,19 +662,7 @@ def online_sort(context: StageContext, inputs: dict) -> t.Generator:
     timeline = operator.timeline
     final = timeline.final.decision.chosen
     artifact = {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": None,
+        **_result_fields(result),
         "substrate": final.substrate,
         "substrate_mode": "online",
         "substrate_workers": final.workers,
@@ -1034,6 +861,7 @@ def register_builtin_stage_kinds() -> None:
     builtin = {
         "methylome_dataset": methylome_dataset,
         "dataset_ref": dataset_ref,
+        "sort": sort,
         "shuffle_sort": shuffle_sort,
         "cache_sort": cache_sort,
         "relay_sort": relay_sort,

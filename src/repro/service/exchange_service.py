@@ -60,7 +60,7 @@ from repro.obs.metrics import registry as metrics_registry
 from repro.executor.executor import FunctionExecutor
 from repro.shuffle.adaptive import FleetScaleDecision, plan_fleet_scale
 from repro.shuffle.records import RecordCodec
-from repro.shuffle.relay import ShardedRelayShuffleSort
+from repro.shuffle.operator import ShuffleSort, exchange_backend
 from repro.shuffle.relayplanner import (
     RelayShuffleCostModel,
     SHARD_IMBALANCE_HEADROOM,
@@ -563,10 +563,9 @@ class ExchangeService:
             billing_tags={"tenant": job.tenant, "job": job.job_id},
         )
         cost = dataclasses.replace(self.relay_cost, consume=self.consume)
-        operator = ShardedRelayShuffleSort(
-            executor, self.codec, generation.fleet, cost=cost
-        )
-        operator.backend.tenant = job.scope
+        backend = exchange_backend("sharded-relay", generation.fleet, cost=cost)
+        backend.tenant = job.scope
+        operator = ShuffleSort(executor, self.codec, backend=backend)
         try:
             result = yield operator.sort(
                 job.bucket,
@@ -595,7 +594,6 @@ class ExchangeService:
             # A failed/cancelled sort never reached extra_report: retire
             # its namespaced router and close its peak epoch so a
             # long-lived fleet's per-job state stays bounded.
-            backend = operator.backend
             if backend.rebalance_assignments is not None:
                 generation.fleet.set_router(None, namespace=job.out_prefix)
             if backend._peak_token is not None:

@@ -2,13 +2,15 @@
 
 The generic :class:`ShuffleSort` drives one
 :class:`~repro.shuffle.exchange.ExchangeBackend`; four substrates ship:
-object storage (the paper's serverless default), an in-memory cache
-cluster (:class:`CacheShuffleSort`), a VM-hosted partition relay
-(:class:`RelayShuffleSort`) and a sharded multi-relay fleet
-(:class:`ShardedRelayShuffleSort`).  Each substrate also runs in a
-pipelined *streaming* mode (:class:`StreamingShuffleSort` over the
-:mod:`repro.shuffle.streaming` backends), where the reduce wave
-overlaps the map wave.  :func:`choose_exchange_substrate` picks
+object storage (the paper's serverless default,
+:class:`ObjectStoreExchange`), an in-memory cache cluster
+(:class:`CacheExchange`), a VM-hosted partition relay
+(:class:`RelayExchange`) and a sharded multi-relay fleet
+(:class:`ShardedRelayExchange`); :func:`exchange_backend` builds any of
+them by name.  The execution mode is a field of the backend: given a
+:class:`StreamConfig` it runs *streaming*, where the reduce wave
+overlaps the map wave.  Workers reach every substrate through one
+:class:`ExchangePort`.  :func:`choose_exchange_substrate` picks
 substrate — and execution mode — analytically.
 """
 
@@ -28,20 +30,12 @@ from repro.shuffle.adaptive import (
     streaming_chunk_count,
     streaming_chunk_overhead_s,
 )
-from repro.shuffle.cacheoperator import (
-    CacheExchange,
-    CacheShuffleSort,
-)
+from repro.shuffle.cacheoperator import CacheExchange
 from repro.shuffle.cacheplanner import (
     CacheShuffleCostModel,
     plan_cache_shuffle,
     predict_cache_shuffle_time,
     required_cache_nodes,
-)
-from repro.shuffle.cachestages import (
-    cache_partition_key,
-    cache_shuffle_mapper,
-    cache_shuffle_reducer,
 )
 from repro.shuffle.kernels import (
     DecimalFieldKeySpec,
@@ -72,12 +66,18 @@ from repro.shuffle.exchange import (
     ObjectStoreExchange,
 )
 from repro.shuffle.online import OnlineShuffleSort
-from repro.shuffle.operator import ShuffleResult, ShuffleSort, SortedRun
+from repro.shuffle.operator import (
+    ShuffleResult,
+    ShuffleSort,
+    SortedRun,
+    exchange_backend,
+)
 from repro.shuffle.orderby import (
     OrderByResult,
     ReversedKey,
     ShuffleOrderBy,
 )
+from repro.shuffle.ports import ExchangePort, partition_key
 from repro.shuffle.planner import (
     PlanPoint,
     ShuffleCostModel,
@@ -90,13 +90,8 @@ from repro.shuffle.records import FixedWidthCodec, LineRecordCodec, RecordCodec
 from repro.shuffle.relay import (
     PartitionLoadRouter,
     RelayExchange,
-    RelayShuffleSort,
     ShardedRelayExchange,
-    ShardedRelayShuffleSort,
     build_rebalance_assignments,
-    relay_partition_key,
-    relay_shuffle_mapper,
-    relay_shuffle_reducer,
 )
 from repro.shuffle.relayplanner import (
     RelayShuffleCostModel,
@@ -124,13 +119,7 @@ from repro.shuffle.skew import (
     zipf_weights,
 )
 from repro.shuffle.streaming import (
-    STREAMING_BACKENDS,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
     streaming_shuffle_mapper,
     streaming_shuffle_reducer,
 )
@@ -140,19 +129,13 @@ __all__ = [
     "AggregateFn",
     "CacheExchange",
     "CacheShuffleCostModel",
-    "CacheShuffleSort",
     "EXCHANGE_MODES",
     "EXCHANGE_SUBSTRATES",
     "KEY_DISTRIBUTIONS",
-    "STREAMING_BACKENDS",
     "SkewSpec",
     "StreamConfig",
-    "StreamingCacheExchange",
-    "StreamingObjectStoreExchange",
-    "StreamingRelayExchange",
-    "StreamingShardedRelayExchange",
-    "StreamingShuffleSort",
     "ExchangeBackend",
+    "ExchangePort",
     "ExchangeReport",
     "ObjectStoreExchange",
     "DecisionPoint",
@@ -165,27 +148,21 @@ __all__ = [
     "RelayExchange",
     "RelayShuffleCostModel",
     "RelayShufflePlan",
-    "RelayShuffleSort",
     "ShardedRelayExchange",
-    "ShardedRelayShuffleSort",
     "SubstrateDecision",
     "SubstrateEstimate",
     "build_rebalance_assignments",
     "choose_exchange_substrate",
+    "exchange_backend",
     "fit_profile",
     "fit_stream_profiles",
     "plan_relay_shuffle",
     "predict_relay_shuffle_time",
-    "relay_partition_key",
-    "relay_shuffle_mapper",
-    "relay_shuffle_reducer",
     "relay_usable_bytes",
     "required_relay_fleet",
     "required_relay_instance",
     "resolve_relay_instance",
-    "cache_partition_key",
-    "cache_shuffle_mapper",
-    "cache_shuffle_reducer",
+    "partition_key",
     "plan_cache_shuffle",
     "predict_cache_shuffle_time",
     "required_cache_nodes",

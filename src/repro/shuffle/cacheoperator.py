@@ -1,12 +1,16 @@
-"""High-level cache-mediated shuffle/sort operator.
+"""The cache-cluster exchange substrate.
 
-:class:`CacheShuffleSort` is the generic
-:class:`~repro.shuffle.operator.ShuffleSort` driving a
-:class:`CacheExchange`: the all-to-all rides a provisioned in-memory
-key-value cluster (the ElastiCache-style alternative the paper
-mentions).  Input splits are read from object storage and sorted runs
-are written back to it, so the operator is a drop-in replacement inside
-the pipelines: only the intermediate-data substrate changes.
+:class:`CacheExchange` routes the all-to-all through a provisioned
+in-memory key-value cluster (the ElastiCache-style alternative the
+paper mentions): staged mappers MSET one value per reducer and reducers
+MGET their range; streaming readers park on the owning node's set
+notification.  Input splits are read from object storage and sorted runs
+are written back to it, so ``ShuffleSort(executor, codec,
+backend=CacheExchange(cluster))`` is a drop-in replacement inside the
+pipelines: only the intermediate-data substrate changes.  The cluster's
+lifecycle (provision/terminate) belongs to the caller: whether it is
+billed per run or amortized always-on is an experiment decision, not an
+operator one.
 """
 
 from __future__ import annotations
@@ -15,24 +19,28 @@ from repro.cloud.memstore.service import MemStoreCluster
 from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
 from repro.shuffle.cacheplanner import CacheShuffleCostModel, plan_cache_shuffle
-from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reducer
 from repro.shuffle.exchange import ExchangeBackend
-from repro.shuffle.operator import ShuffleSort
 from repro.shuffle.planner import ShufflePlan
-from repro.shuffle.records import RecordCodec
-from repro.storage import paths
+from repro.shuffle.streaming import StreamConfig
 
 
 class CacheExchange(ExchangeBackend):
     """Exchange partitions through a provisioned in-memory cache cluster."""
 
     name = "cache"
-    process_label = "cacheshuffle"
-    default_out_prefix = "cache-shuffle"
+    process_labels = {"staged": "cacheshuffle", "streaming": "streamcacheshuffle"}
+    out_prefixes = {"staged": "cache-shuffle", "streaming": "streaming-cache-shuffle"}
 
-    def __init__(self, cluster: MemStoreCluster, cost: CacheShuffleCostModel | None = None):
+    def __init__(
+        self,
+        cluster: MemStoreCluster,
+        cost: CacheShuffleCostModel | None = None,
+        stream: StreamConfig | None = None,
+    ):
+        super().__init__(
+            cost if cost is not None else CacheShuffleCostModel(), stream
+        )
         self.cluster = cluster
-        self.cost = cost if cost is not None else CacheShuffleCostModel()
         self._peak_fill = 0.0
         self._stats_baseline: dict[str, float] = {}
 
@@ -48,7 +56,7 @@ class CacheExchange(ExchangeBackend):
         # to the caller); report per-sort deltas, not lifetime totals.
         self._stats_baseline = self.cluster.stats_totals()
 
-    def plan(
+    def staged_plan(
         self, logical_size: float, profile: CloudProfile, max_workers: int
     ) -> ShufflePlan:
         return plan_cache_shuffle(
@@ -60,43 +68,22 @@ class CacheExchange(ExchangeBackend):
             max_workers=max_workers,
         )
 
-    def mapper_stage(self):
-        return cache_shuffle_mapper
+    def port_route(self, out_bucket: str) -> dict:
+        return {"kind": "cache", "cluster_id": self.cluster.cluster_id}
 
-    def reducer_stage(self):
-        return cache_shuffle_reducer
-
-    def mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
-        base.update(
-            cluster_id=self.cluster.cluster_id,
-            cache_prefix=out_prefix,
-            mapper_id=mapper_id,
-        )
-        return base
-
-    def reducer_task(
+    def collect_route(
         self,
         reducer_id: int,
         workers: int,
-        map_tasks: list[dict],
         map_results: list[dict],
         out_bucket: str,
         out_prefix: str,
-        codec: RecordCodec,
     ) -> dict:
-        return {
-            "cluster_id": self.cluster.cluster_id,
-            "cache_prefix": out_prefix,
-            "reducer_id": reducer_id,
-            "mappers": workers,
-            "out_bucket": out_bucket,
-            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-            "codec": codec,
-            "sort_throughput": self.cost.sort_throughput,
-            "cleanup": self.cost.cleanup,
-        }
+        route = super().collect_route(
+            reducer_id, workers, map_results, out_bucket, out_prefix
+        )
+        route["cleanup"] = self.cost.cleanup
+        return route
 
     def on_map_done(self, map_results: list[dict]) -> None:
         self._peak_fill = max(node.fill_fraction for node in self.cluster.nodes)
@@ -128,32 +115,3 @@ class CacheExchange(ExchangeBackend):
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
         return self.cluster.cas_entries(prefix)
 
-
-class CacheShuffleSort(ShuffleSort):
-    """Sort a storage object with W functions exchanging via a cache.
-
-    Parameters
-    ----------
-    executor:
-        A :class:`~repro.executor.FunctionExecutor`.
-    codec:
-        Record format of the input object.
-    cluster:
-        A *running* :class:`~repro.cloud.memstore.MemStoreCluster` that
-        will hold the shuffle's intermediate partitions.  Lifecycle
-        (provision/terminate) belongs to the caller: whether the cluster
-        is billed per run or amortized always-on is an experiment
-        decision, not an operator one.
-    cost:
-        Cost-model constants; also control sampling and cleanup.
-    """
-
-    def __init__(
-        self,
-        executor,
-        codec: RecordCodec,
-        cluster: MemStoreCluster,
-        cost: CacheShuffleCostModel | None = None,
-    ):
-        super().__init__(executor, codec, backend=CacheExchange(cluster, cost))
-        self.cluster = cluster

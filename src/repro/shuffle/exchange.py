@@ -11,8 +11,9 @@ the generic :class:`~repro.shuffle.operator.ShuffleSort` drives one
   substrates have finite memory; object storage does not;
 * **planning** (:meth:`ExchangeBackend.plan`) — each substrate has its
   own analytic cost model picking the worker count;
-* **worker stages and task payloads** — how a mapper publishes its
-  partitions and how a reducer collects its range;
+* **the port route** (:meth:`ExchangeBackend.port_route`) — which
+  :class:`~repro.shuffle.ports.ExchangePort` the shared worker stages
+  open, and the substrate knobs its verbs need;
 * **reporting** (:meth:`ExchangeBackend.report`) — every backend emits
   one uniform :class:`ExchangeReport` carrying the substrate decision
   inputs (predicted vs actual runtime, provisioned-infrastructure cost)
@@ -34,10 +35,12 @@ executor retries *and* speculative backup tasks
 Backends: :class:`ObjectStoreExchange` (here),
 :class:`~repro.shuffle.cacheoperator.CacheExchange`,
 :class:`~repro.shuffle.relay.RelayExchange` and
-:class:`~repro.shuffle.relay.ShardedRelayExchange` — each with a
-pipelined *streaming* twin in :mod:`repro.shuffle.streaming`, where the
-reduce wave overlaps the map wave behind the substrate's per-partition
-readiness protocol.
+:class:`~repro.shuffle.relay.ShardedRelayExchange`.  The execution mode
+is a field of the backend, not a second class: built with a
+:class:`~repro.shuffle.streaming.StreamConfig`, any backend runs
+*streaming* — the reduce wave overlaps the map wave behind the
+substrate's per-partition readiness protocol — and without one it runs
+*staged*, behind a map barrier.
 """
 
 from __future__ import annotations
@@ -48,9 +51,21 @@ import typing as t
 
 from repro.cloud.profiles import CloudProfile
 from repro.obs.metrics import publish_exchange_report
-from repro.shuffle.planner import ShuffleCostModel, ShufflePlan, plan_shuffle
+from repro.shuffle.adaptive import streaming_chunk_count, streaming_chunk_overhead_s
+from repro.shuffle.planner import (
+    ShuffleCostModel,
+    ShufflePlan,
+    plan_shuffle,
+    predict_streaming_shuffle_time,
+)
+from repro.shuffle.ports import objectstore_segments
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.stages import shuffle_mapper, shuffle_reducer
+from repro.shuffle.streaming import (
+    StreamConfig,
+    streaming_shuffle_mapper,
+    streaming_shuffle_reducer,
+)
 from repro.storage import paths
 
 #: Field names an ``extra`` entry may never shadow.
@@ -173,30 +188,52 @@ class ExchangeReport:
 class ExchangeBackend(abc.ABC):
     """One intermediate-data substrate, as seen by the shuffle operator.
 
-    The operator calls ``validate`` → ``plan`` → ``mapper_task``\\* →
-    ``on_map_done`` → ``reducer_task``\\* → ``report`` over each sort; a
-    backend may serve several sequential sorts (a reused operator), so
-    per-sort bookkeeping (stat baselines, peaks) belongs in
-    ``validate``.  The ``cost`` attribute must expose the shared
-    workload constants (``peek_bytes``, ``sample_bytes``,
-    ``sample_keys``, ``partition_throughput``, ``sort_throughput``).
+    The operator calls ``begin_sort`` → ``validate`` → ``plan`` →
+    ``on_boundaries`` → ``mapper_task``\\* and ``reducer_task``\\*
+    around ``on_map_done`` → ``report`` over each sort; a backend may serve
+    several sequential sorts (a reused operator), so per-sort
+    bookkeeping (stat baselines, peaks) belongs in ``validate``.  The
+    ``cost`` attribute must expose the shared workload constants
+    (``peek_bytes``, ``sample_bytes``, ``sample_keys``,
+    ``partition_throughput``, ``sort_throughput``).
+
+    ``stream`` picks the execution mode: ``None`` runs the exchange
+    *staged* (map barrier before the reduce wave), a
+    :class:`~repro.shuffle.streaming.StreamConfig` runs it *streaming*
+    (pipelined waves, see :mod:`repro.shuffle.streaming`).  Planning,
+    feasibility, billing and the report are the substrate's either way;
+    the mode only changes the worker stages, the task payloads and the
+    planner's completion-time curve.
     """
 
     #: Substrate name as it appears in sweeps and reports.
     name: t.ClassVar[str]
-    #: Execution mode: "staged" (map barrier before the reduce wave) or
-    #: "streaming" (pipelined waves, see :mod:`repro.shuffle.streaming`).
-    mode: t.ClassVar[str] = "staged"
-    #: Prefix of the operator's simulation process names.
-    process_label: t.ClassVar[str]
-    #: Default output prefix of :meth:`ShuffleSort.sort`.
-    default_out_prefix: t.ClassVar[str]
+    #: Mode → prefix of the operator's simulation process names.
+    process_labels: t.ClassVar[dict[str, str]]
+    #: Mode → default output prefix of :meth:`ShuffleSort.sort`.
+    out_prefixes: t.ClassVar[dict[str, str]]
     #: Whether speculative backup tasks are safe on this substrate.
     #: True for all built-ins since attempt-scoped cancellation fences
     #: losing attempts out of stateful substrates.
     supports_speculation: t.ClassVar[bool] = True
 
-    cost: t.Any
+    def __init__(self, cost: t.Any, stream: StreamConfig | None = None):
+        self.cost = cost
+        #: Streaming knobs, or ``None`` for the staged execution mode.
+        self.stream = stream
+
+    @property
+    def mode(self) -> str:
+        """Execution mode: ``"staged"`` or ``"streaming"``."""
+        return "staged" if self.stream is None else "streaming"
+
+    @property
+    def process_label(self) -> str:
+        return self.process_labels[self.mode]
+
+    @property
+    def default_out_prefix(self) -> str:
+        return self.out_prefixes[self.mode]
 
     def bind_executor(self, executor: t.Any) -> None:
         """Hook at operator construction, giving the backend a handle on
@@ -224,39 +261,151 @@ class ExchangeBackend(abc.ABC):
         """Raise :class:`~repro.errors.ShuffleError` when the shuffle
         cannot fit this substrate; no-op by default."""
 
+    # ------------------------------------------------------------------
+    # planning
+    # ------------------------------------------------------------------
     @abc.abstractmethod
+    def staged_plan(
+        self, logical_size: float, profile: CloudProfile, max_workers: int
+    ) -> ShufflePlan:
+        """Pick the worker count with this substrate's (staged) cost model."""
+
     def plan(
         self, logical_size: float, profile: CloudProfile, max_workers: int
     ) -> ShufflePlan:
-        """Pick the worker count with this substrate's cost model."""
+        """Pick the worker count for the mode this backend runs in.
 
+        A streaming backend transforms the staged curve point by point
+        through :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`
+        (this configuration's chunk grain, the substrate's per-chunk
+        readiness overhead) and picks the minimizing worker count from
+        the transformed curve — so an auto-planned streaming sort sizes
+        its wave for the mode it actually runs, and the report's
+        ``predicted_s`` is comparable to its streaming ``actual_s``.
+        """
+        staged = self.staged_plan(logical_size, profile, max_workers)
+        if self.stream is None:
+            return staged
+        overhead = streaming_chunk_overhead_s(profile, self.name)
+        curve = tuple(
+            predict_streaming_shuffle_time(
+                point,
+                streaming_chunk_count(
+                    logical_size, point.workers, self.stream.chunk_bytes
+                ),
+                overhead,
+            )
+            for point in staged.curve
+        )
+        best = min(curve, key=lambda point: (point.total_s, point.workers))
+        # replace() keeps subclass plans (RelayShufflePlan's shard count
+        # and instance type) intact.
+        return dataclasses.replace(
+            staged, workers=best.workers, predicted_s=best.total_s, curve=curve
+        )
+
+    # ------------------------------------------------------------------
+    # worker stages and task payloads
+    # ------------------------------------------------------------------
     @abc.abstractmethod
+    def port_route(self, out_bucket: str) -> dict:
+        """The :class:`~repro.shuffle.ports.ExchangePort` ``kind`` and
+        the substrate route its workers open (bucket, cluster or relay
+        id)."""
+
+    def publish_route(self, mapper_id: int, out_bucket: str, out_prefix: str) -> dict:
+        """Flat port fields of one staged mapper task.  The default is
+        the key-value layout (one value per (mapper, reducer) under
+        ``out_prefix``) the cache and relays share."""
+        return {
+            **self.port_route(out_bucket),
+            "prefix": out_prefix,
+            "mapper_id": mapper_id,
+        }
+
+    def collect_route(
+        self,
+        reducer_id: int,
+        workers: int,
+        map_results: list[dict],
+        out_bucket: str,
+        out_prefix: str,
+    ) -> dict:
+        """Flat port fields of one staged reducer task, which may route
+        by the map results (key-value layout by default)."""
+        return {
+            **self.port_route(out_bucket),
+            "prefix": out_prefix,
+            "reducer_id": reducer_id,
+            "mappers": workers,
+        }
+
+    def _stream_port(self, out_bucket: str, out_prefix: str) -> dict:
+        """The port descriptor of a streaming worker (task field
+        ``stream``): the route plus the stream's grain and bounds."""
+        return {
+            "prefix": f"{out_prefix}/stream",
+            "chunk_bytes": self.stream.chunk_bytes,
+            "buffer_bytes": self.stream.buffer_bytes,
+            "poll_interval": self.stream.poll_interval_s,
+            **self.port_route(out_bucket),
+        }
+
     def mapper_stage(self) -> t.Callable:
         """The sim-aware generator function run by every mapper."""
+        return shuffle_mapper if self.stream is None else streaming_shuffle_mapper
 
-    @abc.abstractmethod
     def reducer_stage(self) -> t.Callable:
         """The sim-aware generator function run by every reducer."""
+        return shuffle_reducer if self.stream is None else streaming_shuffle_reducer
 
-    @abc.abstractmethod
     def mapper_task(
         self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
     ) -> dict:
         """Complete one mapper payload from the substrate-neutral base."""
+        if self.stream is None:
+            base.update(self.publish_route(mapper_id, out_bucket, out_prefix))
+        else:
+            base.update(
+                mapper_id=mapper_id, stream=self._stream_port(out_bucket, out_prefix)
+            )
+        return base
 
-    @abc.abstractmethod
     def reducer_task(
         self,
         reducer_id: int,
         workers: int,
-        map_tasks: list[dict],
         map_results: list[dict],
         out_bucket: str,
         out_prefix: str,
         codec: RecordCodec,
     ) -> dict:
-        """Build one reducer payload (may consult the map results)."""
+        """Build one reducer payload.  Staged reducers may route by the
+        map results; streaming reducers launch before any exist (they
+        get an empty list)."""
+        task = {
+            "out_bucket": out_bucket,
+            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
+            "codec": codec,
+            "sort_throughput": self.cost.sort_throughput,
+        }
+        if self.stream is None:
+            task.update(
+                self.collect_route(
+                    reducer_id, workers, map_results, out_bucket, out_prefix
+                )
+            )
+        else:
+            task.update(
+                reducer_id=reducer_id,
+                mappers=workers,
+                stream=self._stream_port(out_bucket, out_prefix),
+            )
+        return task
 
+    # ------------------------------------------------------------------
+    # hooks and reporting
+    # ------------------------------------------------------------------
     def on_boundaries(
         self, boundaries: t.Sequence[t.Any], predicted_partition_bytes: t.Sequence[float]
     ) -> None:
@@ -268,7 +417,7 @@ class ExchangeBackend(abc.ABC):
         """
 
     def on_map_done(self, map_results: list[dict]) -> None:
-        """Hook between the map and reduce waves (e.g. record peak fill)."""
+        """Hook once the map wave finished (e.g. record peak fill)."""
 
     def provisioned_rate_usd_per_s(self) -> float:
         """Dollars per second of provisioned infrastructure (0 for COS)."""
@@ -323,15 +472,19 @@ class ObjectStoreExchange(ExchangeBackend):
     Mappers write (write-combined) partition objects, reducers range-GET
     their segments — pay-as-you-go requests, no provisioned capacity,
     but per-request latency and the account ops/s ceiling at high worker
-    counts.
+    counts.  Streaming adds per-chunk manifests that reducers poll for.
     """
 
     name = "objectstore"
-    process_label = "shuffle"
-    default_out_prefix = "shuffle-out"
+    process_labels = {"staged": "shuffle", "streaming": "streamshuffle"}
+    out_prefixes = {"staged": "shuffle-out", "streaming": "streaming-shuffle"}
 
-    def __init__(self, cost: ShuffleCostModel | None = None):
-        self.cost = cost if cost is not None else ShuffleCostModel()
+    def __init__(
+        self,
+        cost: ShuffleCostModel | None = None,
+        stream: StreamConfig | None = None,
+    ):
+        super().__init__(cost if cost is not None else ShuffleCostModel(), stream)
         self._store = None
         self._dedup_baseline = (0, 0.0)
 
@@ -361,55 +514,30 @@ class ObjectStoreExchange(ExchangeBackend):
             "dedup_bytes": self._store.stats.dedup_bytes - base_bytes,
         }
 
-    def plan(
+    def staged_plan(
         self, logical_size: float, profile: CloudProfile, max_workers: int
     ) -> ShufflePlan:
         return plan_shuffle(logical_size, profile, self.cost, max_workers=max_workers)
 
-    def mapper_stage(self) -> t.Callable:
-        return shuffle_mapper
+    def port_route(self, out_bucket: str) -> dict:
+        return {"kind": "objectstore", "bucket": out_bucket}
 
-    def reducer_stage(self) -> t.Callable:
-        return shuffle_reducer
+    def publish_route(self, mapper_id: int, out_bucket: str, out_prefix: str) -> dict:
+        return {
+            "out_bucket": out_bucket,
+            "out_key": paths.shuffle_map_output_key(out_prefix, mapper_id),
+            "write_combining": self.cost.write_combining,
+        }
 
-    def mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
-        base.update(
-            out_bucket=out_bucket,
-            out_key=paths.shuffle_map_output_key(out_prefix, mapper_id),
-            write_combining=self.cost.write_combining,
-        )
-        return base
-
-    def reducer_task(
+    def collect_route(
         self,
         reducer_id: int,
         workers: int,
-        map_tasks: list[dict],
         map_results: list[dict],
         out_bucket: str,
         out_prefix: str,
-        codec: RecordCodec,
     ) -> dict:
-        if self.cost.write_combining:
-            segments = [
-                (
-                    map_tasks[mapper_id]["out_key"],
-                    *map_results[mapper_id]["offsets"][reducer_id],
-                )
-                for mapper_id in range(workers)
-            ]
-        else:
-            segments = [
-                (map_results[mapper_id]["partition_keys"][reducer_id], None, None)
-                for mapper_id in range(workers)
-            ]
         return {
-            "out_bucket": out_bucket,
-            "segments": segments,
-            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-            "codec": codec,
-            "sort_throughput": self.cost.sort_throughput,
+            "segments": objectstore_segments(reducer_id, map_results),
             "fetch_parallelism": self.cost.fetch_parallelism,
         }

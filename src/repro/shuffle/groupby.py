@@ -22,6 +22,7 @@ from repro.errors import ShuffleError
 from repro.shuffle import kernels
 from repro.shuffle.operator import _split
 from repro.shuffle.planner import ShuffleCostModel, plan_shuffle
+from repro.shuffle.ports import ExchangePort, objectstore_segments
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.sampler import choose_weighted_boundaries
 from repro.shuffle.stages import shuffle_mapper, shuffle_sampler
@@ -80,45 +81,13 @@ def shuffle_group_reducer(ctx, task: dict) -> t.Generator:
     """Fetch one partition, group records by key, apply the aggregation.
 
     Task fields: ``out_bucket, segments, output_key, codec,
-    aggregate_fn, sort_throughput, fetch_parallelism``.
+    aggregate_fn, sort_throughput, fetch_parallelism`` — the staged
+    object-storage reducer's, plus the aggregation.
     """
     codec: RecordCodec = task["codec"]
     aggregate_fn: AggregateFn = task["aggregate_fn"]
-    segments = [
-        (key, start, end)
-        for key, start, end in task["segments"]
-        if start is None or end > start
-    ]
-    parallelism = max(1, task["fetch_parallelism"])
-    fetch_storage = ctx.storage
-    if parallelism > 1 and ctx.storage.connection_bandwidth is not None:
-        fetch_storage = ctx.storage.bounded(
-            ctx.storage.connection_bandwidth / parallelism
-        )
-
-    chunks: dict[int, bytes] = {}
-
-    def fetch_one(index: int, key: str, seg_start, seg_end) -> t.Generator:
-        if seg_start is None:
-            chunks[index] = yield fetch_storage.get(task["out_bucket"], key)
-        else:
-            chunks[index] = yield fetch_storage.get_range(
-                task["out_bucket"], key, seg_start, seg_end
-            )
-
-    for batch_start in range(0, len(segments), parallelism):
-        batch = segments[batch_start : batch_start + parallelism]
-        processes = [
-            ctx.sim.process(
-                fetch_one(batch_start + offset, key, seg_start, seg_end),
-                name=f"group-fetch-{batch_start + offset}",
-            )
-            for offset, (key, seg_start, seg_end) in enumerate(batch)
-        ]
-        if processes:
-            yield ctx.sim.all_of([process.completion for process in processes])
-
-    buffer = b"".join(chunks[index] for index in sorted(chunks))
+    segments = yield from ExchangePort.open(ctx, task).collect_partitions()
+    buffer = b"".join(segments)
     yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
 
     kernel_started = time.perf_counter()
@@ -274,32 +243,18 @@ class ShuffleGroupBy:
         map_results = yield self.executor.get_result(map_futures)
 
         # --- group-reduce ---------------------------------------------------
-        reduce_tasks = []
-        for reducer_id in range(workers):
-            if self.cost.write_combining:
-                segments = [
-                    (
-                        map_tasks[mapper_id]["out_key"],
-                        *map_results[mapper_id]["offsets"][reducer_id],
-                    )
-                    for mapper_id in range(workers)
-                ]
-            else:
-                segments = [
-                    (map_results[mapper_id]["partition_keys"][reducer_id], None, None)
-                    for mapper_id in range(workers)
-                ]
-            reduce_tasks.append(
-                {
-                    "out_bucket": out_bucket,
-                    "segments": segments,
-                    "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-                    "codec": self.codec,
-                    "aggregate_fn": aggregate_fn,
-                    "sort_throughput": self.cost.sort_throughput,
-                    "fetch_parallelism": self.cost.fetch_parallelism,
-                }
-            )
+        reduce_tasks = [
+            {
+                "out_bucket": out_bucket,
+                "segments": objectstore_segments(reducer_id, map_results),
+                "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
+                "codec": self.codec,
+                "aggregate_fn": aggregate_fn,
+                "sort_throughput": self.cost.sort_throughput,
+                "fetch_parallelism": self.cost.fetch_parallelism,
+            }
+            for reducer_id in range(workers)
+        ]
         reduce_futures = yield self.executor.map(shuffle_group_reducer, reduce_tasks)
         reduce_results = yield self.executor.get_result(reduce_futures)
 

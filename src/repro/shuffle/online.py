@@ -75,8 +75,10 @@ from repro.shuffle.relay import (
 )
 from repro.shuffle.relayplanner import RelayShuffleCostModel
 from repro.shuffle import kernels
+from repro.shuffle.ports import ExchangePort
 from repro.shuffle.sampler import partition_skew_of
-from repro.shuffle.streaming import StreamConfig, _make_port
+from repro.shuffle.stages import read_split
+from repro.shuffle.streaming import StreamConfig, _StreamBuffer
 from repro.sim import SimEvent
 from repro.storage import paths
 from repro.storage.serializer import deserialize, serialize
@@ -137,7 +139,7 @@ class _RouteTable:
         route_id = descriptor["route_id"]
         port = self._ports.get(route_id)
         if port is None:
-            port = _make_port(self.ctx, descriptor)
+            port = ExchangePort.open(self.ctx, descriptor)
             self._ports[route_id] = port
         return port
 
@@ -163,10 +165,9 @@ def online_wave_mapper(ctx, task: dict) -> t.Generator:
     """
     started_at = ctx.sim.now
     codec: RecordCodec = task["codec"]
-    object_size = task["object_size"]
     boundaries = task["boundaries"]
     parts = len(boundaries) + 1
-    port = _make_port(ctx, task["stream"])
+    port = ExchangePort.open(ctx, task["stream"])
 
     records_total = 0
     read_s = 0.0
@@ -177,21 +178,9 @@ def online_wave_mapper(ctx, task: dict) -> t.Generator:
     kernel_kinds: set[str] = set()
     kernel_s = 0.0
     for unit in task["units"]:
-        start, end = unit["start"], unit["end"]
-        window_end = min(object_size, end + task["peek_bytes"])
         before = ctx.sim.now
-        raw = yield ctx.storage.get_range(
-            task["bucket"], task["key"], start, window_end
-        )
+        owned = yield from read_split(ctx, task, unit["start"], unit["end"])
         read_s += ctx.sim.now - before
-        base, tail = raw[: end - start], raw[end - start :]
-        owned = codec.extract_split(
-            base,
-            tail,
-            is_first=(start == 0),
-            at_end=(end >= object_size),
-            global_start=start,
-        )
         outcome = kernels.partition_buffer(codec, owned, boundaries)
         segments = outcome.segments()
         records_total += outcome.records
@@ -241,10 +230,6 @@ def online_stream_reducer(ctx, task: dict) -> t.Generator:
     reducer; the reassembly order (mapper-major, then chunk) is the
     staged record order, so the sorted run is byte-identical.
     """
-    # Imported here (not at module top) to avoid a circular import:
-    # streaming imports operator which this module extends.
-    from repro.shuffle.streaming import _StreamBuffer
-
     started_at = ctx.sim.now
     codec: RecordCodec = task["codec"]
     reducer_id = task["reducer_id"]

@@ -7,7 +7,8 @@ an :class:`~repro.shuffle.exchange.ExchangeBackend` — by default the
 paper's object-storage substrate (no function-to-function
 communication); the cache and VM-relay substrates plug into the same
 orchestration (see :mod:`repro.shuffle.cacheoperator` and
-:mod:`repro.shuffle.relay`).
+:mod:`repro.shuffle.relay`), and :func:`exchange_backend` builds any of
+them by name.
 
 Phases (each an executor map job, sharing warm containers):
 
@@ -17,6 +18,12 @@ Phases (each an executor map job, sharing warm containers):
    range, and publish their partitions through the exchange substrate;
 3. **reduce** — ``W`` reducers collect their range from every mapper,
    sort, and write one run each to object storage.
+
+A *staged* backend runs the reduce wave after a map barrier; a
+*streaming* one (built with a
+:class:`~repro.shuffle.streaming.StreamConfig`) launches both waves at
+once and reducers consume chunks while mappers still produce.  Only that
+wave orchestration depends on the mode.
 
 The worker count is chosen by the substrate's analytic planner unless
 pinned by the caller — this is Primula's "optimal number of functions
@@ -31,17 +38,59 @@ import typing as t
 from repro.cas import cas_enabled, sha256_hex
 from repro.errors import ShuffleError
 from repro.shuffle import kernels
+from repro.shuffle.cacheoperator import CacheExchange
 from repro.shuffle.content import RunManifest, build_run_manifest
 from repro.shuffle.exchange import ExchangeBackend, ObjectStoreExchange
 from repro.shuffle.planner import ShuffleCostModel, ShufflePlan
 from repro.shuffle.records import RecordCodec
+from repro.shuffle.relay import RelayExchange, ShardedRelayExchange
 from repro.shuffle.sampler import (
     choose_weighted_boundaries,
     estimate_partition_weights,
     partition_skew_of,
 )
 from repro.shuffle.stages import shuffle_sampler
+from repro.shuffle.streaming import StreamConfig
 from repro.sim import SimEvent
+
+
+#: Substrate name → (backend class, workload cost-model factory name).
+_BACKENDS: dict[str, tuple[type[ExchangeBackend], str]] = {
+    "objectstore": (ObjectStoreExchange, "shuffle_cost_model"),
+    "cache": (CacheExchange, "cache_shuffle_cost_model"),
+    "relay": (RelayExchange, "relay_shuffle_cost_model"),
+    "sharded-relay": (ShardedRelayExchange, "relay_shuffle_cost_model"),
+}
+
+
+def exchange_backend(
+    substrate: str,
+    provisioned: t.Any = None,
+    workload: t.Any = None,
+    stream: StreamConfig | None = None,
+    *,
+    cost: t.Any = None,
+) -> ExchangeBackend:
+    """The one construction point of every (substrate, mode) backend.
+
+    ``provisioned`` is the running substrate the caller owns (a cache
+    cluster, a relay, a relay fleet; ``None`` for object storage),
+    ``workload`` a :class:`~repro.core.calibration.WorkloadParams`
+    supplying the substrate's calibrated cost model (``cost`` overrides
+    it), and ``stream`` picks the streaming execution mode.
+    """
+    try:
+        backend_class, cost_model = _BACKENDS[substrate]
+    except KeyError:
+        raise ShuffleError(
+            f"unknown exchange substrate {substrate!r}; expected one of "
+            f"{sorted(_BACKENDS)}"
+        ) from None
+    if cost is None and workload is not None:
+        cost = getattr(workload, cost_model)()
+    if substrate == "objectstore":
+        return ObjectStoreExchange(cost, stream)
+    return backend_class(provisioned, cost, stream)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -86,8 +135,10 @@ class ShuffleSort:
         with ``backend`` (a backend carries its own cost model).
     backend:
         The :class:`~repro.shuffle.exchange.ExchangeBackend` carrying
-        the intermediate data; defaults to the paper's object-storage
-        substrate.
+        the intermediate data (see :func:`exchange_backend`); defaults
+        to the paper's object-storage substrate, staged.  Its ``mode``
+        picks the wave orchestration: a map barrier, or both waves in
+        flight at once.
     """
 
     def __init__(
@@ -146,7 +197,7 @@ class ShuffleSort:
         ).completion
 
     # ------------------------------------------------------------------
-    # shared phases (the staged and streaming operators both use these)
+    # shared phases (every mode, and the online operator, use these)
     # ------------------------------------------------------------------
     def _preflight(self, bucket: str, key: str) -> t.Generator:
         """HEAD the input, check speculation support and substrate fit."""
@@ -376,46 +427,17 @@ class ShuffleSort:
                 span=sort_span,
             )
             job = f"{self.backend.process_label}:{out_prefix}@{started_at:.3f}"
-
-            # --- map -------------------------------------------------------
             map_tasks = self._map_tasks(
                 bucket, key, real_size, boundaries, workers, out_bucket, out_prefix
             )
-            self._record_wave(job, "map", "start")
-            map_span = self.sim.tracer.span(
-                "wave:map", category="wave", parent=sort_span, workers=workers
+            waves = (
+                self._staged_waves
+                if self.backend.mode == "staged"
+                else self._streaming_waves
             )
-            with map_span:
-                map_futures = yield self.executor.map(
-                    self.backend.mapper_stage(), map_tasks, span=map_span
-                )
-                map_results = yield self.executor.get_result(map_futures)
-            self._record_wave(job, "map", "end")
-            self.backend.on_map_done(map_results)
-
-            # --- reduce ------------------------------------------------------
-            reduce_tasks = [
-                self.backend.reducer_task(
-                    reducer_id,
-                    workers,
-                    map_tasks,
-                    map_results,
-                    out_bucket,
-                    out_prefix,
-                    self.codec,
-                )
-                for reducer_id in range(workers)
-            ]
-            self._record_wave(job, "reduce", "start")
-            reduce_span = self.sim.tracer.span(
-                "wave:reduce", category="wave", parent=sort_span, workers=workers
+            map_results, reduce_results, observed, extra = yield from waves(
+                job, sort_span, map_tasks, workers, out_bucket, out_prefix
             )
-            with reduce_span:
-                reduce_futures = yield self.executor.map(
-                    self.backend.reducer_stage(), reduce_tasks, span=reduce_span
-                )
-                reduce_results = yield self.executor.get_result(reduce_futures)
-            self._record_wave(job, "reduce", "end")
 
             runs, total_records = self._collect_runs(
                 map_results, reduce_results, out_bucket
@@ -432,8 +454,10 @@ class ShuffleSort:
                     "predicted_partition_skew": partition_skew_of(
                         self.predicted_partition_bytes
                     ),
+                    **extra,
                     **kernels.kernel_report_extras(map_results, reduce_results),
                 },
+                **observed,
             )
             return ShuffleResult(
                 runs=runs,
@@ -443,6 +467,131 @@ class ShuffleSort:
                 total_records=total_records,
                 duration_s=self.sim.now - started_at,
             )
+
+    def _reduce_tasks(
+        self, workers: int, map_results: list[dict], out_bucket: str, out_prefix: str
+    ) -> list[dict]:
+        return [
+            self.backend.reducer_task(
+                reducer_id, workers, map_results, out_bucket, out_prefix, self.codec
+            )
+            for reducer_id in range(workers)
+        ]
+
+    def _staged_waves(
+        self,
+        job: str,
+        sort_span,
+        map_tasks: list[dict],
+        workers: int,
+        out_bucket: str,
+        out_prefix: str,
+    ) -> t.Generator:
+        """Map wave, barrier, then the reduce wave routed by the map
+        results.  Returns ``(map_results, reduce_results, observed,
+        extra)``: the report's wave observations and extras, none for a
+        staged sort (no overlap, no buffering)."""
+        self._record_wave(job, "map", "start")
+        map_span = self.sim.tracer.span(
+            "wave:map", category="wave", parent=sort_span, workers=workers
+        )
+        with map_span:
+            map_futures = yield self.executor.map(
+                self.backend.mapper_stage(), map_tasks, span=map_span
+            )
+            map_results = yield self.executor.get_result(map_futures)
+        self._record_wave(job, "map", "end")
+        self.backend.on_map_done(map_results)
+
+        reduce_tasks = self._reduce_tasks(workers, map_results, out_bucket, out_prefix)
+        self._record_wave(job, "reduce", "start")
+        reduce_span = self.sim.tracer.span(
+            "wave:reduce", category="wave", parent=sort_span, workers=workers
+        )
+        with reduce_span:
+            reduce_futures = yield self.executor.map(
+                self.backend.reducer_stage(), reduce_tasks, span=reduce_span
+            )
+            reduce_results = yield self.executor.get_result(reduce_futures)
+        self._record_wave(job, "reduce", "end")
+        return map_results, reduce_results, {}, {}
+
+    def _streaming_waves(
+        self,
+        job: str,
+        sort_span,
+        map_tasks: list[dict],
+        workers: int,
+        out_bucket: str,
+        out_prefix: str,
+    ) -> t.Generator:
+        """Both waves in flight at once; reducers consume partitions
+        through the substrate's readiness protocol while mappers are
+        still producing.  Returns ``(map_results, reduce_results,
+        observed, extra)``: the measured wave overlap and the reducer
+        buffers' high watermark, plus the summed backpressure waits and
+        chunk count for the report's extras."""
+        reduce_tasks = self._reduce_tasks(workers, [], out_bucket, out_prefix)
+        # The map job is submitted first so its invocations enqueue ahead
+        # of the reducers on the account concurrency limit (reducers idle
+        # at their rendezvous; mappers must never starve behind them).
+        # The wave spans overlap on the trace exactly like the waves do.
+        self._record_wave(job, "map", "start")
+        map_span = self.sim.tracer.span(
+            "wave:map", category="wave", parent=sort_span, workers=workers
+        )
+        reduce_span = None
+        try:
+            map_futures = yield self.executor.map(
+                self.backend.mapper_stage(), map_tasks, span=map_span
+            )
+            self._record_wave(job, "reduce", "start")
+            reduce_span = self.sim.tracer.span(
+                "wave:reduce", category="wave", parent=sort_span, workers=workers
+            )
+            reduce_futures = yield self.executor.map(
+                self.backend.reducer_stage(), reduce_tasks, span=reduce_span
+            )
+            map_results = yield self.executor.get_result(map_futures)
+        except BaseException:
+            map_span.end("error")
+            if reduce_span is not None:
+                reduce_span.end("error")
+            raise
+        map_ended_at = self.sim.now
+        self._record_wave(job, "map", "end")
+        map_span.end()
+        self.backend.on_map_done(map_results)
+        with reduce_span:
+            reduce_results = yield self.executor.get_result(reduce_futures)
+        self._record_wave(job, "reduce", "end")
+
+        # Measured wave overlap from the workers' own execution windows
+        # (each stage stamps its body start) — not from submission time,
+        # which would claim overlap even when reducers queued behind the
+        # mappers on the account concurrency limit and never actually
+        # ran alongside them.
+        map_exec_start = min(result["started_at"] for result in map_results)
+        reduce_exec_start = min(result["started_at"] for result in reduce_results)
+        observed = {
+            "overlap_s": max(
+                0.0,
+                min(map_ended_at, self.sim.now)
+                - max(map_exec_start, reduce_exec_start),
+            ),
+            "buffer_high_watermark_bytes": max(
+                (result["buffer_high_watermark_bytes"] for result in reduce_results),
+                default=0.0,
+            ),
+        }
+        extra = {
+            "buffer_backpressure_waits": sum(
+                result["buffer_waits"] for result in reduce_results
+            ),
+            "buffer_wait_s": sum(result["buffer_wait_s"] for result in reduce_results),
+            "stream_chunks": sum(result["chunks"] for result in map_results),
+        }
+        return map_results, reduce_results, observed, extra
 
 
 def _jsonable(value: t.Any) -> t.Any:

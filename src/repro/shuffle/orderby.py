@@ -25,6 +25,7 @@ from repro.errors import ShuffleError
 from repro.shuffle import kernels
 from repro.shuffle.operator import SortedRun, _sample_window_bytes, _split
 from repro.shuffle.planner import ShuffleCostModel
+from repro.shuffle.ports import objectstore_segments
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.sampler import choose_weighted_boundaries
 from repro.shuffle.stages import shuffle_mapper, shuffle_reducer, shuffle_sampler
@@ -289,17 +290,10 @@ class ShuffleOrderBy:
         # --- reduce --------------------------------------------------------
         reduce_tasks = []
         for partition, record_limit in reduce_plan:
-            segments = [
-                (
-                    map_tasks[mapper_id]["out_key"],
-                    *map_results[mapper_id]["offsets"][partition],
-                )
-                for mapper_id in range(workers)
-            ]
             reduce_tasks.append(
                 {
                     "out_bucket": out_bucket,
-                    "segments": segments,
+                    "segments": objectstore_segments(partition, map_results),
                     "output_key": paths.shuffle_output_key(out_prefix, partition),
                     "codec": self.codec,
                     "sort_throughput": self.cost.sort_throughput,

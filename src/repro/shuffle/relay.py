@@ -1,4 +1,4 @@
-"""Worker stages and operators for the VM-relay shuffles.
+"""The VM-relay exchange substrates and their load-aware shard routing.
 
 Mappers PUSH their partitions to an in-memory rendezvous hosted on
 provisioned VMs, reducers PULL their range; the relay side is per-run
@@ -12,7 +12,8 @@ NICs, for the worker counts and dataset sizes where one line rate
 caps the exchange).  Sampling and the sorted-run artifact are identical
 to the other substrates.
 
-Task payloads carry the *relay id*; workers resolve it through their
+Task payloads carry the *relay id*; workers open a
+:class:`~repro.shuffle.ports.RelayPort`, which resolves it through the
 :meth:`~repro.cloud.faas.context.FunctionContext.relay` accessor, which
 binds the client to the activation's **attempt id**.  That binding is
 what makes the substrate safe under fault handling: a crashed or
@@ -36,21 +37,13 @@ from repro.cloud.vm.relay import PartitionRelay
 from repro.errors import ShuffleError
 from repro.executor.partitioner import assign_balanced
 from repro.shuffle.exchange import ExchangeBackend
-from repro.shuffle.operator import ShuffleSort
 from repro.shuffle.planner import ShufflePlan
-from repro.shuffle.records import RecordCodec
 from repro.shuffle.relayplanner import (
     SHARD_IMBALANCE_HEADROOM,
     RelayShuffleCostModel,
     plan_relay_shuffle,
 )
-from repro.shuffle import kernels
-from repro.storage import paths
-
-
-def relay_partition_key(prefix: str, mapper_id: int, reducer_id: int) -> str:
-    """Relay key of mapper ``mapper_id``'s segment for reducer ``reducer_id``."""
-    return f"{prefix}/m{mapper_id:05d}.r{reducer_id:05d}"
+from repro.shuffle.streaming import StreamConfig
 
 
 #: Shuffle-layout key token shared by the staged keys
@@ -270,91 +263,6 @@ def build_chunk_rebalance_assignments(
     )
 
 
-def relay_shuffle_mapper(ctx, task: dict) -> t.Generator:
-    """Partition one record-aligned split and PUSH it to the relay.
-
-    Task fields: ``bucket, key, start, end, object_size, peek_bytes,
-    boundaries, codec, relay_id, relay_prefix, mapper_id,
-    partition_throughput``.
-    """
-    codec: RecordCodec = task["codec"]
-    start, end = task["start"], task["end"]
-    object_size = task["object_size"]
-    scope = task.get("relay_scope")
-    window_end = min(object_size, end + task["peek_bytes"])
-    raw = yield ctx.storage.get_range(task["bucket"], task["key"], start, window_end)
-    base, tail = raw[: end - start], raw[end - start :]
-    owned = codec.extract_split(
-        base,
-        tail,
-        is_first=(start == 0),
-        at_end=(end >= object_size),
-        global_start=start,
-    )
-
-    outcome = kernels.partition_buffer(codec, owned, task["boundaries"])
-    yield ctx.compute_bytes(len(owned), task["partition_throughput"])
-
-    client = ctx.relay(task["relay_id"], scope=scope)
-    mapper_id = task["mapper_id"]
-    items = [
-        (
-            relay_partition_key(task["relay_prefix"], mapper_id, reducer_id),
-            segment,
-        )
-        for reducer_id, segment in enumerate(outcome.segments())
-    ]
-    yield client.mpush(items)
-    return {
-        "records": outcome.records,
-        "bytes": len(outcome.combined),
-        "partition_sizes": outcome.partition_sizes,
-        "kernel": outcome.kernel,
-        "kernel_records": outcome.records,
-        "kernel_s": outcome.elapsed_s,
-    }
-
-
-def relay_shuffle_reducer(ctx, task: dict) -> t.Generator:
-    """PULL one partition from every mapper via the relay, sort, write.
-
-    Task fields: ``relay_id, relay_prefix, reducer_id, mappers,
-    out_bucket, output_key, codec, sort_throughput, consume``.
-
-    With ``consume`` the reducer's partitions are reclaimed once its
-    sorted run is written — via **read-leases**: the consuming MPULL
-    grants the attempt a lease and the relay removes the entries only
-    when the activation *commits* (handler success).  An attempt killed
-    at any point before commit — even after the pull — simply drops its
-    lease, so the retry finds every partition resident.  Destructive
-    reads are therefore crash-safe, no longer an opt-in for crash-free
-    runs only.
-    """
-    codec: RecordCodec = task["codec"]
-    client = ctx.relay(task["relay_id"], scope=task.get("relay_scope"))
-    reducer_id = task["reducer_id"]
-    keys = [
-        relay_partition_key(task["relay_prefix"], mapper_id, reducer_id)
-        for mapper_id in range(task["mappers"])
-    ]
-    segments = yield client.mpull(keys, consume=task.get("consume", False))
-
-    buffer = b"".join(segments)
-    yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
-    outcome = kernels.sort_buffer(codec, buffer)
-    yield ctx.storage.put(
-        task["out_bucket"], task["output_key"], outcome.output, dedup=True
-    )
-    return {
-        "records": outcome.records,
-        "bytes": len(outcome.output),
-        "output_key": task["output_key"],
-        "kernel": outcome.kernel,
-        "kernel_records": outcome.records,
-        "kernel_s": outcome.elapsed_s,
-    }
-
-
 class RelayExchange(ExchangeBackend):
     """Exchange partitions through VM-hosted in-memory relays.
 
@@ -367,16 +275,19 @@ class RelayExchange(ExchangeBackend):
     """
 
     name = "relay"
-    process_label = "relayshuffle"
-    default_out_prefix = "relay-shuffle"
+    process_labels = {"staged": "relayshuffle", "streaming": "streamrelayshuffle"}
+    out_prefixes = {"staged": "relay-shuffle", "streaming": "streaming-relay-shuffle"}
 
     def __init__(
         self,
         relay: PartitionRelay | RelayFleet,
         cost: RelayShuffleCostModel | None = None,
+        stream: StreamConfig | None = None,
     ):
+        super().__init__(
+            cost if cost is not None else RelayShuffleCostModel(), stream
+        )
         self.relay = relay
-        self.cost = cost if cost is not None else RelayShuffleCostModel()
         self._stats_baseline: dict[str, float] = {}
         #: Tenant/job scope label stamped on every worker's relay client
         #: (``None`` outside a multi-tenant service): the lever behind
@@ -468,7 +379,7 @@ class RelayExchange(ExchangeBackend):
         """
         return max(1.0, self.cost.expected_skew)
 
-    def plan(
+    def staged_plan(
         self, logical_size: float, profile: CloudProfile, max_workers: int
     ) -> ShufflePlan:
         return plan_relay_shuffle(
@@ -480,48 +391,25 @@ class RelayExchange(ExchangeBackend):
             shards=self.shards,
         )
 
-    def mapper_stage(self):
-        return relay_shuffle_mapper
-
-    def reducer_stage(self):
-        return relay_shuffle_reducer
-
-    def mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
-        base.update(
-            relay_id=self.relay.relay_id,
-            relay_prefix=out_prefix,
-            mapper_id=mapper_id,
-        )
+    def port_route(self, out_bucket: str) -> dict:
+        route = {"kind": "relay", "relay_id": self.relay.relay_id}
         if self.tenant is not None:
-            base["relay_scope"] = self.tenant
-        return base
+            route["relay_scope"] = self.tenant
+        return route
 
-    def reducer_task(
+    def collect_route(
         self,
         reducer_id: int,
         workers: int,
-        map_tasks: list[dict],
         map_results: list[dict],
         out_bucket: str,
         out_prefix: str,
-        codec: RecordCodec,
     ) -> dict:
-        task = {
-            "relay_id": self.relay.relay_id,
-            "relay_prefix": out_prefix,
-            "reducer_id": reducer_id,
-            "mappers": workers,
-            "out_bucket": out_bucket,
-            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-            "codec": codec,
-            "sort_throughput": self.cost.sort_throughput,
-            "consume": self.cost.consume,
-        }
-        if self.tenant is not None:
-            task["relay_scope"] = self.tenant
-        return task
+        route = super().collect_route(
+            reducer_id, workers, map_results, out_bucket, out_prefix
+        )
+        route["consume"] = self.cost.consume
+        return route
 
     def provisioned_rate_usd_per_s(self) -> float:
         profile = self.relay.service.profile
@@ -563,34 +451,6 @@ class RelayExchange(ExchangeBackend):
         return self.relay.cas_entries(prefix)
 
 
-class RelayShuffleSort(ShuffleSort):
-    """Sort a storage object with W functions exchanging via a VM relay.
-
-    Parameters
-    ----------
-    executor:
-        A :class:`~repro.executor.FunctionExecutor`.
-    codec:
-        Record format of the input object.
-    relay:
-        A *running* :class:`~repro.cloud.vm.relay.PartitionRelay`.
-        Lifecycle (provision/terminate) belongs to the caller, exactly
-        as with the cache cluster: whether its VM-seconds are billed per
-        run or amortized is an experiment decision.
-    cost:
-        Cost-model constants; also control sampling and consumption.
-    """
-
-    def __init__(
-        self,
-        executor,
-        codec: RecordCodec,
-        relay: PartitionRelay,
-        cost: RelayShuffleCostModel | None = None,
-    ):
-        super().__init__(executor, codec, backend=RelayExchange(relay, cost))
-        self.relay = relay
-
 
 class ShardedRelayExchange(RelayExchange):
     """Exchange partitions through a sharded multi-relay fleet.
@@ -614,16 +474,21 @@ class ShardedRelayExchange(RelayExchange):
     """
 
     name = "sharded-relay"
-    process_label = "fleetshuffle"
-    default_out_prefix = "fleet-shuffle"
+    process_labels = {"staged": "fleetshuffle", "streaming": "streamfleetshuffle"}
+    out_prefixes = {"staged": "fleet-shuffle", "streaming": "streaming-fleet-shuffle"}
 
-    def __init__(self, fleet: RelayFleet, cost: RelayShuffleCostModel | None = None):
+    def __init__(
+        self,
+        fleet: RelayFleet,
+        cost: RelayShuffleCostModel | None = None,
+        stream: StreamConfig | None = None,
+    ):
         if not isinstance(fleet, RelayFleet):
             raise ShuffleError(
                 "ShardedRelayExchange needs a RelayFleet; wrap a single "
                 "relay in a one-shard fleet or use RelayExchange"
             )
-        super().__init__(fleet, cost)
+        super().__init__(fleet, cost, stream)
         self.fleet = fleet
         #: ``assignments[mapper][reducer]`` of the last rebalanced sort
         #: (``None`` while routing falls back to the CRC hash).
@@ -691,22 +556,3 @@ class ShardedRelayExchange(RelayExchange):
             self.fleet.set_router(None, namespace=self._namespace)
         return out
 
-
-class ShardedRelayShuffleSort(ShuffleSort):
-    """Sort with W functions exchanging via a sharded VM-relay fleet.
-
-    Parameters mirror :class:`RelayShuffleSort`, with a *running*
-    :class:`~repro.cloud.vm.fleet.RelayFleet` in place of the single
-    relay; the fleet's lifecycle (provision/terminate, and therefore N
-    instances' billing) belongs to the caller.
-    """
-
-    def __init__(
-        self,
-        executor,
-        codec: RecordCodec,
-        fleet: RelayFleet,
-        cost: RelayShuffleCostModel | None = None,
-    ):
-        super().__init__(executor, codec, backend=ShardedRelayExchange(fleet, cost))
-        self.fleet = fleet

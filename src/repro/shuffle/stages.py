@@ -1,4 +1,4 @@
-"""Worker-side stages of the object-storage shuffle.
+"""Worker-side stages of the shuffle, on every exchange substrate.
 
 Three sim-aware functions executed through a
 :class:`~repro.executor.FunctionExecutor` (or the VM-backed standalone
@@ -7,15 +7,18 @@ executor — they are substrate-portable):
 * :func:`shuffle_sampler` — reads a window of its split and returns a
   key sample for boundary selection;
 * :func:`shuffle_mapper` — reads its record-aligned split, partitions
-  records by range, and writes **one combined object** (all partitions
-  concatenated, plus an offset table returned to the driver).  This is
-  the write-combining I/O optimization: ``W`` PUTs per map phase instead
-  of ``W²``;
-* :func:`shuffle_reducer` — range-GETs its segment from every mapper
-  output (batched for latency hiding), sorts the records, and writes one
-  sorted run.
+  records by range, and publishes the partitions through its task's
+  :class:`~repro.shuffle.ports.ExchangePort` (on object storage: **one
+  combined object** plus an offset table returned to the driver — the
+  write-combining I/O optimization, ``W`` PUTs per map phase instead of
+  ``W²``);
+* :func:`shuffle_reducer` — collects its range from every mapper through
+  the port, sorts the records, and writes one sorted run to object
+  storage (the encode stage reads runs from COS regardless of how the
+  shuffle moved its bytes).
 
-All payloads are plain picklable dicts, so the stages ride the normal
+The streaming twins live in :mod:`repro.shuffle.streaming`.  All
+payloads are plain picklable dicts, so the stages ride the normal
 executor data path through object storage.
 """
 
@@ -24,8 +27,28 @@ from __future__ import annotations
 import typing as t
 
 from repro.shuffle import kernels
+from repro.shuffle.ports import ExchangePort
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.sampler import reservoir_sample
+
+
+def read_split(ctx, task: dict, start: int, end: int) -> t.Generator:
+    """The records split ``[start, end)`` of the input object owns.
+
+    Reads the split plus ``peek_bytes`` of look-ahead (task fields
+    ``bucket, key, object_size, peek_bytes, codec``) in one range-GET
+    and lets the codec cut it at record boundaries.
+    """
+    object_size = task["object_size"]
+    window_end = min(object_size, end + task["peek_bytes"])
+    raw = yield ctx.storage.get_range(task["bucket"], task["key"], start, window_end)
+    return task["codec"].extract_split(
+        raw[: end - start],
+        raw[end - start :],
+        is_first=(start == 0),
+        at_end=(end >= object_size),
+        global_start=start,
+    )
 
 
 def _sample_windows(
@@ -88,67 +111,27 @@ def shuffle_sampler(ctx, task: dict) -> t.Generator:
 
 
 def shuffle_mapper(ctx, task: dict) -> t.Generator:
-    """Partition one record-aligned split into range buckets.
+    """Partition one record-aligned split and publish it.
 
     Task fields: ``bucket, key, start, end, object_size, peek_bytes,
-    boundaries, codec, out_bucket, out_key, partition_throughput,
-    write_combining``.
-
-    With write-combining (Primula's optimization) the mapper PUTs one
-    combined object and returns the offset table ``offsets[r] =
-    (seg_start, seg_end)`` of reducer ``r``'s segment inside it.
-    Without it (the naive all-to-all the paper warns about) the mapper
-    PUTs one object per partition — ``W²`` PUTs per map phase overall —
-    and returns the per-partition key list instead.
+    boundaries, codec, partition_throughput`` plus the flat port fields
+    of its substrate (see :mod:`repro.shuffle.ports`).  Returns the
+    record counts and kernel telemetry plus whatever the port reports
+    back for routing the reducers (on object storage: the combined
+    object's ``out_key`` and the offset table ``offsets[r] = (seg_start,
+    seg_end)`` of reducer ``r``'s segment, or per-partition
+    ``partition_keys`` when write-combining is off).
     """
     codec: RecordCodec = task["codec"]
-    start, end = task["start"], task["end"]
-    object_size = task["object_size"]
-    window_end = min(object_size, end + task["peek_bytes"])
-    raw = yield ctx.storage.get_range(task["bucket"], task["key"], start, window_end)
-    base, tail = raw[: end - start], raw[end - start :]
-    owned = codec.extract_split(
-        base,
-        tail,
-        is_first=(start == 0),
-        at_end=(end >= object_size),
-        global_start=start,
-    )
-
+    owned = yield from read_split(ctx, task, task["start"], task["end"])
     outcome = kernels.partition_buffer(codec, owned, task["boundaries"])
     yield ctx.compute_bytes(len(owned), task["partition_throughput"])
-
-    if task.get("write_combining", True):
-        # One object holding every partition segment — the vectorized
-        # kernel's gathered buffer *is* this object (zero extra joins).
-        yield ctx.storage.put(
-            task["out_bucket"], task["out_key"], outcome.combined, dedup=True
-        )
-        return {
-            "offsets": outcome.offsets,
-            "records": outcome.records,
-            "partition_records": outcome.partition_records,
-            "bytes": len(outcome.combined),
-            "out_key": task["out_key"],
-            "kernel": outcome.kernel,
-            "kernel_records": outcome.records,
-            "kernel_s": outcome.elapsed_s,
-        }
-
-    # Naive mode: one object per (mapper, partition) pair.
-    partition_keys = []
-    for reducer_id in range(len(outcome.offsets)):
-        partition_key = f"{task['out_key']}.p{reducer_id:05d}"
-        partition_keys.append(partition_key)
-        yield ctx.storage.put(
-            task["out_bucket"], partition_key, outcome.segment(reducer_id), dedup=True
-        )
+    published = yield from ExchangePort.open(ctx, task).publish_partitions(outcome)
     return {
-        "partition_keys": partition_keys,
+        **published,
         "records": outcome.records,
         "partition_records": outcome.partition_records,
         "bytes": len(outcome.combined),
-        "out_key": task["out_key"],
         "kernel": outcome.kernel,
         "kernel_records": outcome.records,
         "kernel_s": outcome.elapsed_s,
@@ -156,53 +139,17 @@ def shuffle_mapper(ctx, task: dict) -> t.Generator:
 
 
 def shuffle_reducer(ctx, task: dict) -> t.Generator:
-    """Fetch, sort and write one output partition.
+    """Collect, sort and write one output partition.
 
-    Task fields: ``out_bucket, segments`` (list of ``(key, start, end)``
-    into mapper outputs; ``start``/``end`` of ``None`` means a whole
-    object, as produced by naive non-write-combined mappers),
-    ``output_key, codec, sort_throughput, fetch_parallelism``, and an
-    optional ``record_limit`` keeping only the first N sorted records
-    (top-k queries truncate their final partition this way).
+    Task fields: ``out_bucket, output_key, codec, sort_throughput`` plus
+    the flat port fields of its substrate (see
+    :mod:`repro.shuffle.ports`), and an optional ``record_limit`` keeping
+    only the first N sorted records (top-k queries truncate their final
+    partition this way).
     """
     codec: RecordCodec = task["codec"]
-    segments = [
-        (key, start, end)
-        for key, start, end in task["segments"]
-        if start is None or end > start
-    ]
-    parallelism = max(1, task["fetch_parallelism"])
-    # Split the instance NIC across the concurrent streams so batching
-    # hides request latency without inventing bandwidth.
-    fetch_storage = ctx.storage
-    if parallelism > 1 and ctx.storage.connection_bandwidth is not None:
-        fetch_storage = ctx.storage.bounded(
-            ctx.storage.connection_bandwidth / parallelism
-        )
-
-    chunks: dict[int, bytes] = {}
-
-    def fetch_one(index: int, key: str, seg_start, seg_end) -> t.Generator:
-        if seg_start is None:
-            chunks[index] = yield fetch_storage.get(task["out_bucket"], key)
-        else:
-            chunks[index] = yield fetch_storage.get_range(
-                task["out_bucket"], key, seg_start, seg_end
-            )
-
-    for batch_start in range(0, len(segments), parallelism):
-        batch = segments[batch_start : batch_start + parallelism]
-        processes = [
-            ctx.sim.process(
-                fetch_one(batch_start + offset, key, seg_start, seg_end),
-                name=f"reducer-fetch-{batch_start + offset}",
-            )
-            for offset, (key, seg_start, seg_end) in enumerate(batch)
-        ]
-        if processes:
-            yield ctx.sim.all_of([process.completion for process in processes])
-
-    buffer = b"".join(chunks[index] for index in sorted(chunks))
+    segments = yield from ExchangePort.open(ctx, task).collect_partitions()
+    buffer = b"".join(segments)
     yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
     outcome = kernels.sort_buffer(codec, buffer, task.get("record_limit"))
     yield ctx.storage.put(

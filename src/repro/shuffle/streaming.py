@@ -3,14 +3,16 @@
 Every substrate in :mod:`repro.shuffle` historically ran *staged*: the
 full map wave had to finish before any reducer launched, so even the
 fastest substrate paid a hard wave barrier.  This module removes the
-barrier.  A :class:`StreamingShuffleSort` launches the reduce wave
-concurrently with the map wave; mappers cut their split into chunks and
-publish each chunk's partition segments as soon as they are produced,
-and reducers *subscribe* to their partition across every mapper,
-fetching and pre-sorting chunks while upstream mappers are still
-reading input.
+barrier.  A backend built with a :class:`StreamConfig` (its ``mode`` is
+then ``"streaming"``) makes :class:`~repro.shuffle.operator.ShuffleSort`
+launch the reduce wave concurrently with the map wave; mappers cut
+their split into chunks and publish each chunk's partition segments as
+soon as they are produced, and reducers *subscribe* to their partition
+across every mapper, fetching and pre-sorting chunks while upstream
+mappers are still reading input.
 
-The per-partition readiness protocol is substrate-shaped:
+The per-partition readiness protocol is substrate-shaped (the streaming
+verbs of :class:`~repro.shuffle.ports.ExchangePort`):
 
 * **object storage** — manifest polling.  A mapper PUTs one combined
   chunk object (write-combining, exactly like the staged mapper) plus
@@ -47,7 +49,7 @@ never consumed destructively, every publish is an idempotent overwrite
 of deterministic content, and all clients are attempt-scoped — a
 crashed or cancelled worker's in-flight transfers are reclaimed and its
 zombie requests fenced, exactly as on the staged paths (the chaos and
-speculation-parity matrices cover ``streaming_sort`` too).
+speculation-parity matrices cover streaming sorts too).
 """
 
 from __future__ import annotations
@@ -57,20 +59,12 @@ import dataclasses
 import time
 import typing as t
 
-from repro.cloud.objectstore.errors import NoSuchKey
-from repro.cloud.profiles import CloudProfile
-from repro.errors import ShuffleError
-from repro.shuffle.cacheoperator import CacheExchange
-from repro.shuffle.exchange import ExchangeBackend, ObjectStoreExchange
-from repro.shuffle.operator import ShuffleResult, ShuffleSort
-from repro.shuffle.planner import ShufflePlan, predict_streaming_shuffle_time
-from repro.shuffle.relay import RelayExchange, ShardedRelayExchange
 from repro.shuffle import kernels
-from repro.shuffle.sampler import partition_index, partition_skew_of
+from repro.shuffle.ports import ExchangePort
 from repro.shuffle.records import RecordCodec
+from repro.shuffle.sampler import partition_index
+from repro.shuffle.stages import read_split
 from repro.sim import SimEvent
-from repro.storage import paths
-from repro.storage.serializer import deserialize, serialize
 
 
 @dataclasses.dataclass(slots=True)
@@ -91,298 +85,6 @@ class StreamConfig:
 
 
 # ----------------------------------------------------------------------
-# stream key layout
-# ----------------------------------------------------------------------
-def stream_chunk_object_key(prefix: str, mapper_id: int, chunk: int) -> str:
-    """COS object holding mapper ``mapper_id``'s combined chunk ``chunk``."""
-    return f"{prefix}/m{mapper_id:05d}.c{chunk:05d}"
-
-
-def stream_manifest_key(prefix: str, mapper_id: int, chunk: int) -> str:
-    """COS object holding chunk ``chunk``'s offset table (immutable)."""
-    return f"{prefix}/m{mapper_id:05d}.mf{chunk:05d}"
-
-
-def stream_eos_key(prefix: str, mapper_id: int) -> str:
-    """COS object announcing mapper ``mapper_id``'s final chunk count."""
-    return f"{prefix}/m{mapper_id:05d}.eos"
-
-
-def stream_header_key(prefix: str, mapper_id: int) -> str:
-    """Relay/cache key announcing mapper ``mapper_id``'s chunk count."""
-    return f"{prefix}/m{mapper_id:05d}.hdr"
-
-
-def stream_segment_key(
-    prefix: str, mapper_id: int, reducer_id: int, chunk: int
-) -> str:
-    """Relay/cache key of one (mapper, reducer, chunk) segment."""
-    return f"{prefix}/m{mapper_id:05d}.r{reducer_id:05d}.c{chunk:05d}"
-
-
-# ----------------------------------------------------------------------
-# worker-side stream ports (one per substrate kind)
-# ----------------------------------------------------------------------
-class _ObjectStorePort:
-    """Manifest-polling stream port over object storage."""
-
-    def __init__(self, ctx, stream: dict):
-        self.ctx = ctx
-        self.bucket = stream["bucket"]
-        self.prefix = stream["prefix"]
-        self.poll_interval = stream["poll_interval"]
-        #: Final chunk count per mapper, once the EOS object was read.
-        self._eos: dict[int, int] = {}
-
-    # -- mapper side ---------------------------------------------------
-    def announce(self, mapper_id: int, chunk_count: int) -> t.Generator:
-        return
-        yield  # pragma: no cover - generator marker
-
-    def publish(
-        self, mapper_id: int, chunk: int, segments: list[bytes]
-    ) -> t.Generator:
-        combined = b"".join(segments)
-        offsets: list[tuple[int, int]] = []
-        cursor = 0
-        for segment in segments:
-            offsets.append((cursor, cursor + len(segment)))
-            cursor += len(segment)
-        # Data first, then the manifest naming it: any manifest a
-        # reducer can read points at a chunk object that already exists.
-        yield self.ctx.storage.put(
-            self.bucket, stream_chunk_object_key(self.prefix, mapper_id, chunk),
-            combined, dedup=True,
-        )
-        payload = serialize(offsets)
-        # Manifests are control-plane metadata: charge their real size,
-        # not the experiment's logical scale-up.
-        yield self.ctx.storage.put(
-            self.bucket, stream_manifest_key(self.prefix, mapper_id, chunk),
-            payload, logical_size=len(payload),
-        )
-
-    def finish(self, mapper_id: int, chunk_count: int) -> t.Generator:
-        payload = serialize(chunk_count)
-        yield self.ctx.storage.put(
-            self.bucket, stream_eos_key(self.prefix, mapper_id),
-            payload, logical_size=len(payload),
-        )
-
-    # -- reducer side --------------------------------------------------
-    def next_chunk(
-        self, mapper_id: int, reducer_id: int, chunk: int
-    ) -> t.Generator:
-        """The reducer's segment of chunk ``chunk``, or ``None`` at EOS."""
-        delay = self.poll_interval
-        while True:
-            try:
-                raw = yield self.ctx.storage.get(
-                    self.bucket, stream_manifest_key(self.prefix, mapper_id, chunk)
-                )
-            except NoSuchKey:
-                pass
-            else:
-                start, end = deserialize(raw)[reducer_id]
-                if end <= start:
-                    return b""
-                return (
-                    yield self.ctx.storage.get_range(
-                        self.bucket,
-                        stream_chunk_object_key(self.prefix, mapper_id, chunk),
-                        start,
-                        end,
-                    )
-                )
-            if mapper_id not in self._eos:
-                try:
-                    raw = yield self.ctx.storage.get(
-                        self.bucket, stream_eos_key(self.prefix, mapper_id)
-                    )
-                except NoSuchKey:
-                    pass
-                else:
-                    self._eos[mapper_id] = deserialize(raw)
-            count = self._eos.get(mapper_id)
-            if count is not None:
-                if chunk >= count:
-                    return None
-                # The manifest exists (it precedes EOS); re-read it now.
-                continue
-            yield self.ctx.sleep(delay)
-            # Gentle backoff keeps W^2 pollers off the ops ceiling while
-            # nothing is being produced; reset on progress (new call).
-            delay = min(delay * 1.5, self.poll_interval * 4)
-
-    def fetch_chunk(
-        self, mapper_id: int, reducer_id: int, chunk: int
-    ) -> t.Generator:
-        """The reducer's segment of a chunk *known to exist eventually*.
-
-        The online sort's reducers learn the exact chunk grid from a
-        control record before fetching, so unlike :meth:`next_chunk`
-        there is no EOS protocol — this simply polls the manifest until
-        the chunk is published (possibly by a mapper running waves
-        later) and range-GETs the segment.
-        """
-        delay = self.poll_interval
-        while True:
-            try:
-                raw = yield self.ctx.storage.get(
-                    self.bucket, stream_manifest_key(self.prefix, mapper_id, chunk)
-                )
-            except NoSuchKey:
-                yield self.ctx.sleep(delay)
-                delay = min(delay * 1.5, self.poll_interval * 4)
-                continue
-            start, end = deserialize(raw)[reducer_id]
-            if end <= start:
-                return b""
-            return (
-                yield self.ctx.storage.get_range(
-                    self.bucket,
-                    stream_chunk_object_key(self.prefix, mapper_id, chunk),
-                    start,
-                    end,
-                )
-            )
-
-
-class _NotifyPort:
-    """Shared stream port over a notifying key-value rendezvous.
-
-    The cache and the relay speak the same streaming protocol — a
-    header key announcing the chunk count, one value per
-    (mapper, reducer, chunk), blocking reads parked on the server's
-    publish notification — and differ only in the client verbs.
-    Subclasses bind :meth:`_put` / :meth:`_mput` / :meth:`_get_blocking`
-    to their service's client; everything else lives here once.
-    """
-
-    def __init__(self, ctx, stream: dict):
-        self.ctx = ctx
-        self.prefix = stream["prefix"]
-        self.client = self._make_client(ctx, stream)
-        self._headers: dict[int, int] = {}
-
-    # -- service verbs (subclass responsibility) -----------------------
-    def _make_client(self, ctx, stream: dict):
-        raise NotImplementedError
-
-    def _put(self, key: str, data: bytes) -> SimEvent:
-        raise NotImplementedError
-
-    def _mput(self, items: list[tuple[str, bytes]]) -> SimEvent:
-        raise NotImplementedError
-
-    def _get_blocking(self, key: str) -> SimEvent:
-        raise NotImplementedError
-
-    # -- mapper side ---------------------------------------------------
-    def announce(self, mapper_id: int, chunk_count: int) -> t.Generator:
-        yield self._put(
-            stream_header_key(self.prefix, mapper_id),
-            chunk_count.to_bytes(8, "big"),
-        )
-
-    def publish(
-        self, mapper_id: int, chunk: int, segments: list[bytes]
-    ) -> t.Generator:
-        yield self._mput(
-            [
-                (stream_segment_key(self.prefix, mapper_id, reducer_id, chunk),
-                 data)
-                for reducer_id, data in enumerate(segments)
-            ]
-        )
-
-    def finish(self, mapper_id: int, chunk_count: int) -> t.Generator:
-        return
-        yield  # pragma: no cover - generator marker
-
-    # -- reducer side --------------------------------------------------
-    def next_chunk(
-        self, mapper_id: int, reducer_id: int, chunk: int
-    ) -> t.Generator:
-        count = self._headers.get(mapper_id)
-        if count is None:
-            raw = yield self._get_blocking(
-                stream_header_key(self.prefix, mapper_id)
-            )
-            count = int.from_bytes(raw, "big")
-            self._headers[mapper_id] = count
-        if chunk >= count:
-            return None
-        return (
-            yield self._get_blocking(
-                stream_segment_key(self.prefix, mapper_id, reducer_id, chunk)
-            )
-        )
-
-    def fetch_chunk(
-        self, mapper_id: int, reducer_id: int, chunk: int
-    ) -> t.Generator:
-        """One known (mapper, reducer, chunk) segment, blocking.
-
-        Online-sort counterpart of :meth:`next_chunk`: the chunk grid is
-        known from the control record, so no header handshake — park on
-        the rendezvous read until the segment is published.
-        """
-        return (
-            yield self._get_blocking(
-                stream_segment_key(self.prefix, mapper_id, reducer_id, chunk)
-            )
-        )
-
-
-class _CachePort(_NotifyPort):
-    """Set-notification stream port over the in-memory cache cluster."""
-
-    def _make_client(self, ctx, stream: dict):
-        return ctx.kv(stream["cluster_id"])
-
-    def _put(self, key: str, data: bytes) -> SimEvent:
-        return self.client.set(key, data, logical_size=len(data))
-
-    def _mput(self, items: list[tuple[str, bytes]]) -> SimEvent:
-        return self.client.mset(items)
-
-    def _get_blocking(self, key: str) -> SimEvent:
-        return self.client.get_wait(key)
-
-
-class _RelayPort(_NotifyPort):
-    """Rendezvous stream port over the VM relay (or sharded fleet)."""
-
-    def _make_client(self, ctx, stream: dict):
-        return ctx.relay(stream["relay_id"], scope=stream.get("relay_scope"))
-
-    def _put(self, key: str, data: bytes) -> SimEvent:
-        return self.client.push(key, data, logical_size=len(data))
-
-    def _mput(self, items: list[tuple[str, bytes]]) -> SimEvent:
-        return self.client.mpush(items)
-
-    def _get_blocking(self, key: str) -> SimEvent:
-        return self.client.pull_wait(key)
-
-
-_PORTS = {
-    "objectstore": _ObjectStorePort,
-    "cache": _CachePort,
-    "relay": _RelayPort,
-}
-
-
-def _make_port(ctx, stream: dict):
-    try:
-        port_class = _PORTS[stream["kind"]]
-    except KeyError:
-        raise ShuffleError(f"unknown stream port kind {stream['kind']!r}") from None
-    return port_class(ctx, stream)
-
-
-# ----------------------------------------------------------------------
 # worker stages (substrate-generic: the port carries the difference)
 # ----------------------------------------------------------------------
 def streaming_shuffle_mapper(ctx, task: dict) -> t.Generator:
@@ -397,23 +99,11 @@ def streaming_shuffle_mapper(ctx, task: dict) -> t.Generator:
     """
     started_at = ctx.sim.now
     codec: RecordCodec = task["codec"]
-    start, end = task["start"], task["end"]
-    object_size = task["object_size"]
-    window_end = min(object_size, end + task["peek_bytes"])
-    raw = yield ctx.storage.get_range(task["bucket"], task["key"], start, window_end)
-    base, tail = raw[: end - start], raw[end - start :]
-    owned = codec.extract_split(
-        base,
-        tail,
-        is_first=(start == 0),
-        at_end=(end >= object_size),
-        global_start=start,
-    )
-    stream = task["stream"]
-    chunk_real = max(1, int(stream["chunk_bytes"] / ctx.logical_scale))
+    owned = yield from read_split(ctx, task, task["start"], task["end"])
+    chunk_real = max(1, int(task["stream"]["chunk_bytes"] / ctx.logical_scale))
     boundaries = task["boundaries"]
     parts = len(boundaries) + 1
-    port = _make_port(ctx, stream)
+    port = ExchangePort.open(ctx, task["stream"])
     mapper_id = task["mapper_id"]
     partition_records = [0] * parts
     published_bytes = 0
@@ -567,11 +257,10 @@ def streaming_shuffle_reducer(ctx, task: dict) -> t.Generator:
     """
     started_at = ctx.sim.now
     codec: RecordCodec = task["codec"]
-    stream = task["stream"]
-    port = _make_port(ctx, stream)
+    port = ExchangePort.open(ctx, task["stream"])
     reducer_id = task["reducer_id"]
     mappers = task["mappers"]
-    buffer = _StreamBuffer(ctx.sim, stream["buffer_bytes"])
+    buffer = _StreamBuffer(ctx.sim, task["stream"]["buffer_bytes"])
     chunks: dict[int, list[bytes]] = {m: [] for m in range(mappers)}
     finished = {"fetchers": 0}
 
@@ -634,352 +323,3 @@ def streaming_shuffle_reducer(ctx, task: dict) -> t.Generator:
         "kernel_records": outcome.records,
         "kernel_s": outcome.elapsed_s,
     }
-
-
-# ----------------------------------------------------------------------
-# streaming exchange backends (one per substrate)
-# ----------------------------------------------------------------------
-class StreamingExchangeMixin:
-    """Turns a staged backend into its streaming twin.
-
-    Planning, validation, feasibility, billing and the uniform report
-    are inherited from the staged backend; only the worker stages and
-    task payloads change.  ``reducer_task`` deliberately ignores the map
-    results — streaming reducers launch before any exist.
-    """
-
-    mode = "streaming"
-    stream_kind: t.ClassVar[str]
-    stream: StreamConfig
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        """Substrate routing fields of the stream descriptor."""
-        raise NotImplementedError
-
-    def plan(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        """Plan with the *streaming* completion-time model.
-
-        The staged backend's curve is transformed point by point through
-        :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`
-        (this configuration's chunk grain, the substrate's per-chunk
-        readiness overhead), and the minimizing worker count is picked
-        from the transformed curve — so an auto-planned streaming sort
-        sizes its wave for the mode it actually runs, and the report's
-        ``predicted_s`` is comparable to its streaming ``actual_s``.
-        """
-        from repro.shuffle.adaptive import (
-            streaming_chunk_count,
-            streaming_chunk_overhead_s,
-        )
-
-        staged = super().plan(logical_size, profile, max_workers)
-        overhead = streaming_chunk_overhead_s(profile, self.name)
-        curve = tuple(
-            predict_streaming_shuffle_time(
-                point,
-                streaming_chunk_count(
-                    logical_size, point.workers, self.stream.chunk_bytes
-                ),
-                overhead,
-            )
-            for point in staged.curve
-        )
-        best = min(curve, key=lambda point: (point.total_s, point.workers))
-        # replace() keeps subclass plans (RelayShufflePlan's shard count
-        # and instance type) intact.
-        return dataclasses.replace(
-            staged, workers=best.workers, predicted_s=best.total_s, curve=curve
-        )
-
-    def _stream_payload(self, out_bucket: str, out_prefix: str) -> dict:
-        payload = {
-            "kind": self.stream_kind,
-            "prefix": f"{out_prefix}/stream",
-            "chunk_bytes": self.stream.chunk_bytes,
-            "buffer_bytes": self.stream.buffer_bytes,
-            "poll_interval": self.stream.poll_interval_s,
-        }
-        payload.update(self._stream_route(out_bucket))
-        return payload
-
-    def mapper_stage(self):
-        return streaming_shuffle_mapper
-
-    def reducer_stage(self):
-        return streaming_shuffle_reducer
-
-    def mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
-        base.update(
-            mapper_id=mapper_id,
-            stream=self._stream_payload(out_bucket, out_prefix),
-        )
-        return base
-
-    def reducer_task(
-        self,
-        reducer_id: int,
-        workers: int,
-        map_tasks: list[dict],
-        map_results: list[dict],
-        out_bucket: str,
-        out_prefix: str,
-        codec: RecordCodec,
-    ) -> dict:
-        return {
-            "reducer_id": reducer_id,
-            "mappers": workers,
-            "out_bucket": out_bucket,
-            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-            "codec": codec,
-            "sort_throughput": self.cost.sort_throughput,
-            "stream": self._stream_payload(out_bucket, out_prefix),
-        }
-
-
-class StreamingObjectStoreExchange(StreamingExchangeMixin, ObjectStoreExchange):
-    """Streaming twin of the COS substrate: manifest-polled chunk objects."""
-
-    stream_kind = "objectstore"
-    process_label = "streamshuffle"
-    default_out_prefix = "streaming-shuffle"
-
-    def __init__(self, cost=None, stream: StreamConfig | None = None):
-        super().__init__(cost)
-        self.stream = stream if stream is not None else StreamConfig()
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        return {"bucket": out_bucket}
-
-
-class StreamingCacheExchange(StreamingExchangeMixin, CacheExchange):
-    """Streaming twin of the cache substrate: set-notification reads."""
-
-    stream_kind = "cache"
-    process_label = "streamcacheshuffle"
-    default_out_prefix = "streaming-cache-shuffle"
-
-    def __init__(self, cluster, cost=None, stream: StreamConfig | None = None):
-        super().__init__(cluster, cost)
-        self.stream = stream if stream is not None else StreamConfig()
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        return {"cluster_id": self.cluster.cluster_id}
-
-
-class StreamingRelayExchange(StreamingExchangeMixin, RelayExchange):
-    """Streaming twin of the VM-relay substrate: rendezvous pulls."""
-
-    stream_kind = "relay"
-    process_label = "streamrelayshuffle"
-    default_out_prefix = "streaming-relay-shuffle"
-
-    def __init__(self, relay, cost=None, stream: StreamConfig | None = None):
-        super().__init__(relay, cost)
-        self.stream = stream if stream is not None else StreamConfig()
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        route = {"relay_id": self.relay.relay_id}
-        if self.tenant is not None:
-            route["relay_scope"] = self.tenant
-        return route
-
-
-class StreamingShardedRelayExchange(StreamingExchangeMixin, ShardedRelayExchange):
-    """Streaming twin of the sharded fleet: rendezvous pulls, CRC-routed."""
-
-    stream_kind = "relay"
-    process_label = "streamfleetshuffle"
-    default_out_prefix = "streaming-fleet-shuffle"
-
-    def __init__(self, fleet, cost=None, stream: StreamConfig | None = None):
-        super().__init__(fleet, cost)
-        self.stream = stream if stream is not None else StreamConfig()
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        route = {"relay_id": self.relay.relay_id}
-        if self.tenant is not None:
-            route["relay_scope"] = self.tenant
-        return route
-
-
-#: Substrate name → streaming backend class (driver-side construction).
-STREAMING_BACKENDS = {
-    "objectstore": StreamingObjectStoreExchange,
-    "cache": StreamingCacheExchange,
-    "relay": StreamingRelayExchange,
-    "sharded-relay": StreamingShardedRelayExchange,
-}
-
-
-# ----------------------------------------------------------------------
-# the streaming operator
-# ----------------------------------------------------------------------
-class StreamingShuffleSort(ShuffleSort):
-    """Sort with the reduce wave launched concurrently with the map wave.
-
-    Sampling, planning and the sorted-run artifact are exactly the
-    staged operator's; what changes is the orchestration: both waves are
-    submitted back to back and the reducers consume partitions through
-    the substrate's readiness protocol while mappers are still
-    producing.  The resulting :class:`~repro.shuffle.exchange.ExchangeReport`
-    carries the measured map/reduce wall-clock ``overlap_s``, the
-    reducer buffers' ``buffer_high_watermark_bytes``, and the summed
-    backpressure waits.
-
-    Parameters mirror :class:`~repro.shuffle.operator.ShuffleSort`;
-    ``backend`` must be one of the streaming backends (default: the
-    object-storage one).
-    """
-
-    def __init__(
-        self,
-        executor,
-        codec: RecordCodec,
-        cost=None,
-        backend: ExchangeBackend | None = None,
-    ):
-        if backend is None:
-            backend = StreamingObjectStoreExchange(cost)
-            cost = None
-        if not isinstance(backend, StreamingExchangeMixin):
-            raise ShuffleError(
-                f"StreamingShuffleSort needs a streaming backend, got "
-                f"{type(backend).__name__}; wrap the substrate in its "
-                "Streaming*Exchange twin"
-            )
-        super().__init__(executor, codec, cost=cost, backend=backend)
-
-    def _sort(
-        self,
-        bucket: str,
-        key: str,
-        out_bucket: str,
-        out_prefix: str,
-        pinned_workers: int | None,
-        samplers: int,
-        max_workers: int,
-    ) -> t.Generator:
-        started_at = self.sim.now
-        sort_span = self.sim.tracer.span(
-            f"sort:{out_prefix}",
-            category="sort",
-            substrate=self.backend.name,
-            mode=self.backend.mode,
-        )
-        with sort_span:
-            self.backend.begin_sort(out_bucket, out_prefix)
-            meta = yield from self._preflight(bucket, key)
-            real_size = meta.size
-            plan, workers = self._plan_workers(
-                meta.logical_size, pinned_workers, max_workers
-            )
-            boundaries = yield from self._sample(
-                bucket, key, real_size, meta.logical_size, workers, samplers,
-                span=sort_span,
-            )
-            job = f"{self.backend.process_label}:{out_prefix}@{started_at:.3f}"
-
-            map_tasks = self._map_tasks(
-                bucket, key, real_size, boundaries, workers, out_bucket, out_prefix
-            )
-            reduce_tasks = [
-                self.backend.reducer_task(
-                    reducer_id, workers, map_tasks, [], out_bucket, out_prefix,
-                    self.codec,
-                )
-                for reducer_id in range(workers)
-            ]
-
-            # Both waves in flight at once — this is the whole point.  The
-            # map job is submitted first so its invocations enqueue ahead of
-            # the reducers on the account concurrency limit (reducers idle
-            # at their rendezvous; mappers must never starve behind them).
-            # The wave spans overlap on the trace exactly like the waves do.
-            self._record_wave(job, "map", "start")
-            map_span = self.sim.tracer.span(
-                "wave:map", category="wave", parent=sort_span, workers=workers
-            )
-            reduce_span = None
-            try:
-                map_futures = yield self.executor.map(
-                    self.backend.mapper_stage(), map_tasks, span=map_span
-                )
-                self._record_wave(job, "reduce", "start")
-                reduce_span = self.sim.tracer.span(
-                    "wave:reduce", category="wave", parent=sort_span, workers=workers
-                )
-                reduce_futures = yield self.executor.map(
-                    self.backend.reducer_stage(), reduce_tasks, span=reduce_span
-                )
-                map_results = yield self.executor.get_result(map_futures)
-            except BaseException:
-                map_span.end("error")
-                if reduce_span is not None:
-                    reduce_span.end("error")
-                raise
-            map_ended_at = self.sim.now
-            self._record_wave(job, "map", "end")
-            map_span.end()
-            self.backend.on_map_done(map_results)
-            with reduce_span:
-                reduce_results = yield self.executor.get_result(reduce_futures)
-            self._record_wave(job, "reduce", "end")
-
-            runs, total_records = self._collect_runs(
-                map_results, reduce_results, out_bucket
-            )
-            self.run_manifest = self._build_manifest(
-                bucket, key, meta, workers, boundaries, runs, out_prefix
-            )
-            # Measured wave overlap from the workers' own execution windows
-            # (each stage stamps its body start) — not from submission time,
-            # which would claim overlap even when reducers queued behind the
-            # mappers on the account concurrency limit and never actually
-            # ran alongside them.
-            map_exec_start = min(result["started_at"] for result in map_results)
-            reduce_exec_start = min(
-                result["started_at"] for result in reduce_results
-            )
-            overlap_s = max(
-                0.0,
-                min(map_ended_at, self.sim.now)
-                - max(map_exec_start, reduce_exec_start),
-            )
-            self.report = self.backend.report(
-                workers,
-                plan,
-                self.sim.now - started_at,
-                overlap_s=overlap_s,
-                buffer_high_watermark_bytes=max(
-                    (result["buffer_high_watermark_bytes"] for result in reduce_results),
-                    default=0.0,
-                ),
-                partition_skew=partition_skew_of([run.size_bytes for run in runs]),
-                extra={
-                    "predicted_partition_skew": partition_skew_of(
-                        self.predicted_partition_bytes
-                    ),
-                    "buffer_backpressure_waits": sum(
-                        result["buffer_waits"] for result in reduce_results
-                    ),
-                    "buffer_wait_s": sum(
-                        result["buffer_wait_s"] for result in reduce_results
-                    ),
-                    "stream_chunks": sum(
-                        result["chunks"] for result in map_results
-                    ),
-                    **kernels.kernel_report_extras(map_results, reduce_results),
-                },
-            )
-            return ShuffleResult(
-                runs=runs,
-                workers=workers,
-                planned=plan,
-                boundaries=tuple(boundaries),
-                total_records=total_records,
-                duration_s=self.sim.now - started_at,
-            )

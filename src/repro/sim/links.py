@@ -151,7 +151,10 @@ class FairShareLink:
         elapsed = now - self._last_update
         if elapsed > 0:
             for flow in self._flows.values():
-                drained = flow.rate * elapsed
+                # A completion timer clamped up to the kernel's minimum
+                # tick overshoots in time, never in bytes: a flow can
+                # deliver at most what it still has to send.
+                drained = min(flow.rate * elapsed, max(flow.remaining, 0.0))
                 flow.remaining -= drained
                 self.bytes_delivered += drained
         self._last_update = now

@@ -156,7 +156,11 @@ class TokenBucket:
                 continue
             if not self._wake_pending:
                 shortfall = amount - self._tokens
-                delay = shortfall / self.rate
+                # Never wake sooner than the clock can resolve: at a
+                # large ``now`` a tiny shortfall / rate rounds to zero
+                # elapsed time, and the wake would refire at the same
+                # instant forever without accruing a token.
+                delay = max(shortfall / self.rate, abs(self.sim.now) * 1e-12)
                 self._wake_pending = True
                 self.sim.timeout(delay).add_callback(self._on_wake)
             return

@@ -18,6 +18,7 @@ from repro.workflows.dag import WorkflowDag
 _SUBSTRATE_LABELS = {
     "methylome_dataset": "object storage",
     "dataset_ref": "object storage",
+    "sort": "cloud functions + exchange substrate (substrate/mode params)",
     "shuffle_sort": "cloud functions",
     "vm_sort": "virtual machine",
     "cache_sort": "cloud functions + cache cluster",

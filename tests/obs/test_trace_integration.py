@@ -24,17 +24,11 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor, SpeculationPolicy
 from repro.shuffle import (
-    CacheShuffleSort,
     FixedWidthCodec,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
+    ShardedRelayExchange,
     ShuffleSort,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
+    exchange_backend,
 )
 
 CODEC = FixedWidthCodec(record_size=16, key_bytes=8)
@@ -65,33 +59,16 @@ def make_payload(count=RECORDS, seed=SEED, record_size=16):
 
 
 def make_operator(cloud, substrate, mode, executor):
-    if mode == "staged":
-        if substrate == "objectstore":
-            return ShuffleSort(executor, CODEC)
-        if substrate == "cache":
-            cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-            return CacheShuffleSort(executor, CODEC, cluster)
-        if substrate == "relay":
-            return RelayShuffleSort(
-                executor, CODEC, relay_ready(cloud.vms, "bx2-8x32")
-            )
-        return ShardedRelayShuffleSort(
-            executor, CODEC, fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        )
-    backends = {
-        "objectstore": lambda: StreamingObjectStoreExchange(stream=STREAM),
-        "cache": lambda: StreamingCacheExchange(
-            cloud.cache.provision_ready("cache.r5.large", nodes=2),
-            stream=STREAM,
-        ),
-        "relay": lambda: StreamingRelayExchange(
-            relay_ready(cloud.vms, "bx2-8x32"), stream=STREAM
-        ),
-        "sharded-relay": lambda: StreamingShardedRelayExchange(
-            fleet_ready(cloud.vms, "bx2-8x32", shards=2), stream=STREAM
-        ),
-    }
-    return StreamingShuffleSort(executor, CODEC, backend=backends[substrate]())
+    provisioned = {
+        "objectstore": lambda: None,
+        "cache": lambda: cloud.cache.provision_ready("cache.r5.large", nodes=2),
+        "relay": lambda: relay_ready(cloud.vms, "bx2-8x32"),
+        "sharded-relay": lambda: fleet_ready(cloud.vms, "bx2-8x32", shards=2),
+    }[substrate]()
+    stream = STREAM if mode == "streaming" else None
+    return ShuffleSort(
+        executor, CODEC, backend=exchange_backend(substrate, provisioned, stream=stream)
+    )
 
 
 def run_sort(
@@ -205,8 +182,10 @@ class TestSpeculationLifecycle:
         cloud = Cloud.fresh(seed=SEED, profile=self.heavy_tailed(), spans=spans)
         cloud.store.ensure_bucket("data")
         executor = FunctionExecutor(cloud, retries=6, speculation=self.POLICY)
-        operator = ShardedRelayShuffleSort(
-            executor, CODEC, fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+        operator = ShuffleSort(
+            executor,
+            CODEC,
+            backend=ShardedRelayExchange(fleet_ready(cloud.vms, "bx2-8x32", shards=2)),
         )
 
         def driver():

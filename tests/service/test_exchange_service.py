@@ -23,7 +23,7 @@ from repro.cloud.profiles import ibm_us_east
 from repro.cloud.vm.fleet import fleet_ready
 from repro.executor import FunctionExecutor
 from repro.service import ExchangeService, ServiceSaturated
-from repro.shuffle import FixedWidthCodec, ShardedRelayShuffleSort
+from repro.shuffle import FixedWidthCodec, ShardedRelayExchange, ShuffleSort
 from repro.shuffle.relayplanner import (
     RelayShuffleCostModel,
     relay_usable_bytes,
@@ -70,9 +70,10 @@ def solo_digest(payload, cloud_seed, workers=WORKERS):
     cloud = fresh_cloud(cloud_seed)
     cloud.store.ensure_bucket("data")
     fleet = fleet_ready(cloud.vms, INSTANCE, shards=1)
-    operator = ShardedRelayShuffleSort(
-        FunctionExecutor(cloud), codec(), fleet,
-        cost=RelayShuffleCostModel(consume=True),
+    operator = ShuffleSort(
+        FunctionExecutor(cloud),
+        codec(),
+        backend=ShardedRelayExchange(fleet, RelayShuffleCostModel(consume=True)),
     )
 
     def driver():

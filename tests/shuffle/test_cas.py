@@ -22,10 +22,10 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
-    CacheShuffleSort,
+    CacheExchange,
     FixedWidthCodec,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
+    RelayExchange,
+    ShardedRelayExchange,
     ShuffleSort,
 )
 from repro.shuffle.content import (
@@ -58,13 +58,13 @@ def run_sort(substrate, payload, *, workers=2, seed=7):
         operator = ShuffleSort(executor, codec)
     elif substrate == "cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = CacheShuffleSort(executor, codec, cluster)
+        operator = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
     elif substrate == "sharded-relay":
         fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(executor, codec, fleet)
+        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(fleet))
     else:
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(executor, codec, relay)
+        operator = ShuffleSort(executor, codec, backend=RelayExchange(relay))
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)
@@ -311,13 +311,13 @@ def run_cold_warm(substrate, payload, *, seed=7):
         operator = ShuffleSort(executor, codec)
     elif substrate == "cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = CacheShuffleSort(executor, codec, cluster)
+        operator = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
     elif substrate == "sharded-relay":
         fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(executor, codec, fleet)
+        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(fleet))
     else:
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(executor, codec, relay)
+        operator = ShuffleSort(executor, codec, backend=RelayExchange(relay))
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)

@@ -28,19 +28,14 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
-    CacheShuffleSort,
     FixedWidthCodec,
+    RelayExchange,
     RelayShuffleCostModel,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
+    ShardedRelayExchange,
     ShuffleSort,
     SkewSpec,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
+    exchange_backend,
     skewed_fixed_payload,
 )
 
@@ -94,47 +89,24 @@ def run_chaos_sort(substrate, payload, seed, crash_rate, retries=6):
     codec = FixedWidthCodec(record_size=16, key_bytes=8)
     relay = None
     stream = StreamConfig(**CHAOS_STREAM)
-    if substrate == "objectstore":
-        operator = ShuffleSort(executor, codec)
-    elif substrate == "cache":
-        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = CacheShuffleSort(executor, codec, cluster)
-    elif substrate == "sharded-relay":
-        relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(executor, codec, relay)
-    elif substrate == "relay-consume":
-        relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(
-            executor, codec, relay, cost=RelayShuffleCostModel(consume=True)
-        )
-    elif substrate == "sharded-relay-consume":
-        relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(
-            executor, codec, relay, cost=RelayShuffleCostModel(consume=True)
-        )
-    elif substrate == "streaming-objectstore":
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingObjectStoreExchange(stream=stream)
-        )
-    elif substrate == "streaming-cache":
-        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingCacheExchange(cluster, stream=stream)
-        )
-    elif substrate == "streaming-relay":
-        relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingRelayExchange(relay, stream=stream)
-        )
-    elif substrate == "streaming-sharded-relay":
-        relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = StreamingShuffleSort(
-            executor, codec,
-            backend=StreamingShardedRelayExchange(relay, stream=stream),
-        )
-    else:
-        relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(executor, codec, relay)
+    name = substrate.removeprefix("streaming-").removesuffix("-consume")
+    provisioned = None
+    if name == "cache":
+        provisioned = cloud.cache.provision_ready("cache.r5.large", nodes=2)
+    elif name == "sharded-relay":
+        relay = provisioned = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+    elif name == "relay":
+        relay = provisioned = relay_ready(cloud.vms, "bx2-8x32")
+    if not substrate.startswith("streaming-"):
+        stream = None
+    cost = None
+    if substrate.endswith("-consume"):
+        cost = RelayShuffleCostModel(consume=True)
+    operator = ShuffleSort(
+        executor,
+        codec,
+        backend=exchange_backend(name, provisioned, stream=stream, cost=cost),
+    )
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)
@@ -311,7 +283,7 @@ class TestChaosAccounting:
         executor = FunctionExecutor(cloud, retries=1)
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(executor, codec, relay)
+        operator = ShuffleSort(executor, codec, backend=RelayExchange(relay))
 
         def driver():
             yield cloud.store.put("data", "input.bin", payload)
@@ -335,7 +307,7 @@ class TestChaosAccounting:
         executor = FunctionExecutor(cloud, retries=1)
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=3)
-        operator = ShardedRelayShuffleSort(executor, codec, fleet)
+        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(fleet))
 
         def driver():
             yield cloud.store.put("data", "input.bin", payload)

@@ -20,11 +20,11 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
-    CacheShuffleSort,
+    CacheExchange,
     FixedWidthCodec,
     LineRecordCodec,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
+    RelayExchange,
+    ShardedRelayExchange,
     ShuffleSort,
 )
 
@@ -56,13 +56,13 @@ def run_substrate(substrate, codec, payload, workers, seed):
         operator = ShuffleSort(executor, codec)
     elif substrate == "cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = CacheShuffleSort(executor, codec, cluster)
+        operator = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
     elif substrate == "sharded-relay":
         fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(executor, codec, fleet)
+        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(fleet))
     else:
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(executor, codec, relay)
+        operator = ShuffleSort(executor, codec, backend=RelayExchange(relay))
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)
@@ -135,8 +135,8 @@ class TestExchangeParity:
         relay = relay_ready(cloud.vms, "bx2-8x32")
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         payload = make_fixed_payload(4000, seed=7)
-        operator = RelayShuffleSort(
-            FunctionExecutor(cloud, retries=4), codec, relay
+        operator = ShuffleSort(
+            FunctionExecutor(cloud, retries=4), codec, backend=RelayExchange(relay)
         )
 
         def driver():
@@ -157,7 +157,9 @@ class TestExchangeParity:
         cloud.store.ensure_bucket("data")
         relay = relay_ready(cloud.vms, "bx2-8x32")
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        operator = RelayShuffleSort(FunctionExecutor(cloud), codec, relay)
+        operator = ShuffleSort(
+            FunctionExecutor(cloud), codec, backend=RelayExchange(relay)
+        )
 
         def run_once(key, prefix):
             def driver():

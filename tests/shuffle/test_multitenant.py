@@ -18,7 +18,8 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
     FixedWidthCodec,
-    ShardedRelayShuffleSort,
+    ShardedRelayExchange,
+    ShuffleSort,
     SkewSpec,
     skewed_fixed_payload,
 )
@@ -44,7 +45,7 @@ def solo_runs(payload, seed, consume=False):
     fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
     executor = FunctionExecutor(cloud)
     cost = RelayShuffleCostModel(consume=consume)
-    operator = ShardedRelayShuffleSort(executor, codec(), fleet, cost=cost)
+    operator = ShuffleSort(executor, codec(), backend=ShardedRelayExchange(fleet, cost))
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)
@@ -68,11 +69,11 @@ def test_two_concurrent_sorts_keep_router_and_byte_parity(consume):
     fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
     cost_a = RelayShuffleCostModel(consume=consume)
     cost_b = RelayShuffleCostModel(consume=consume)
-    op_a = ShardedRelayShuffleSort(
-        FunctionExecutor(cloud), codec(), fleet, cost=cost_a
+    op_a = ShuffleSort(
+        FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet, cost_a)
     )
-    op_b = ShardedRelayShuffleSort(
-        FunctionExecutor(cloud), codec(), fleet, cost=cost_b
+    op_b = ShuffleSort(
+        FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet, cost_b)
     )
 
     def driver():
@@ -114,8 +115,12 @@ def test_concurrent_sorts_report_their_own_peaks():
     cloud = Cloud.fresh(seed=3, profile=ibm_us_east(deterministic=True))
     cloud.store.ensure_bucket("data")
     fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-    op_a = ShardedRelayShuffleSort(FunctionExecutor(cloud), codec(), fleet)
-    op_b = ShardedRelayShuffleSort(FunctionExecutor(cloud), codec(), fleet)
+    op_a = ShuffleSort(
+        FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet)
+    )
+    op_b = ShuffleSort(
+        FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet)
+    )
 
     def driver():
         yield cloud.store.put("data", "a.bin", payload_a)

@@ -32,19 +32,12 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
-    CacheShuffleSort,
     FixedWidthCodec,
     OnlineShuffleSort,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
     ShuffleSort,
     SkewSpec,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
+    exchange_backend,
     skewed_fixed_payload,
 )
 
@@ -86,35 +79,16 @@ def run_static(substrate, mode, payload, seed):
     cloud = Cloud.fresh(seed=seed, profile=ibm_us_east(deterministic=True))
     cloud.store.ensure_bucket("data")
     executor = FunctionExecutor(cloud)
-    if mode == "staged":
-        if substrate == "objectstore":
-            operator = ShuffleSort(executor, CODEC)
-        elif substrate == "cache":
-            cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-            operator = CacheShuffleSort(executor, CODEC, cluster)
-        elif substrate == "relay":
-            operator = RelayShuffleSort(
-                executor, CODEC, relay_ready(cloud.vms, "bx2-8x32")
-            )
-        else:
-            operator = ShardedRelayShuffleSort(
-                executor, CODEC, fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-            )
-    else:
-        if substrate == "objectstore":
-            backend = StreamingObjectStoreExchange(stream=STREAM)
-        elif substrate == "cache":
-            cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-            backend = StreamingCacheExchange(cluster, stream=STREAM)
-        elif substrate == "relay":
-            backend = StreamingRelayExchange(
-                relay_ready(cloud.vms, "bx2-8x32"), stream=STREAM
-            )
-        else:
-            backend = StreamingShardedRelayExchange(
-                fleet_ready(cloud.vms, "bx2-8x32", shards=2), stream=STREAM
-            )
-        operator = StreamingShuffleSort(executor, CODEC, backend=backend)
+    provisioned = {
+        "objectstore": lambda: None,
+        "cache": lambda: cloud.cache.provision_ready("cache.r5.large", nodes=2),
+        "relay": lambda: relay_ready(cloud.vms, "bx2-8x32"),
+        "sharded-relay": lambda: fleet_ready(cloud.vms, "bx2-8x32", shards=2),
+    }[substrate]()
+    stream = STREAM if mode == "streaming" else None
+    operator = ShuffleSort(
+        executor, CODEC, backend=exchange_backend(substrate, provisioned, stream=stream)
+    )
     return run_sort(cloud, operator, payload)[0]
 
 

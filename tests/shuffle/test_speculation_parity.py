@@ -21,17 +21,11 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor, SpeculationPolicy
 from repro.shuffle import (
-    CacheShuffleSort,
     FixedWidthCodec,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
     ShuffleSort,
     SkewSpec,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShuffleSort,
+    exchange_backend,
     skewed_fixed_payload,
 )
 
@@ -77,31 +71,19 @@ def run_speculative_sort(substrate, payload, crash_rate=0.0):
     stream = StreamConfig(
         chunk_bytes=4096.0, buffer_bytes=8192.0, poll_interval_s=0.05
     )
-    if substrate == "objectstore":
-        operator = ShuffleSort(executor, codec)
-    elif substrate == "cache":
-        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = CacheShuffleSort(executor, codec, cluster)
-    elif substrate == "sharded-relay":
-        relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(executor, codec, relay)
-    elif substrate == "streaming-objectstore":
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingObjectStoreExchange(stream=stream)
-        )
-    elif substrate == "streaming-cache":
-        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingCacheExchange(cluster, stream=stream)
-        )
-    elif substrate == "streaming-relay":
-        relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingRelayExchange(relay, stream=stream)
-        )
-    else:
-        relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(executor, codec, relay)
+    name = substrate.removeprefix("streaming-")
+    provisioned = None
+    if name == "cache":
+        provisioned = cloud.cache.provision_ready("cache.r5.large", nodes=2)
+    elif name == "sharded-relay":
+        relay = provisioned = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+    elif name == "relay":
+        relay = provisioned = relay_ready(cloud.vms, "bx2-8x32")
+    if name == substrate:
+        stream = None
+    operator = ShuffleSort(
+        executor, codec, backend=exchange_backend(name, provisioned, stream=stream)
+    )
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)

@@ -20,18 +20,12 @@ from repro.errors import ShuffleError
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
     EXCHANGE_MODES,
-    CacheShuffleSort,
     FixedWidthCodec,
     ObjectStoreExchange,
-    RelayShuffleSort,
     ShuffleSort,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
     choose_exchange_substrate,
+    exchange_backend,
     predict_shuffle_time,
     predict_streaming_shuffle_time,
     streaming_chunk_count,
@@ -61,40 +55,17 @@ def run_sort(substrate, payload, streaming, buffer_bytes=None, chunk_bytes=4096.
     stream = StreamConfig(
         chunk_bytes=chunk_bytes, buffer_bytes=buffer_bytes, poll_interval_s=0.05
     )
-    relay = None
-    if substrate == "objectstore":
-        operator = (
-            StreamingShuffleSort(
-                executor, codec, backend=StreamingObjectStoreExchange(stream=stream)
-            )
-            if streaming
-            else ShuffleSort(executor, codec)
-        )
-    elif substrate == "cache":
-        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = (
-            StreamingShuffleSort(
-                executor, codec,
-                backend=StreamingCacheExchange(cluster, stream=stream),
-            )
-            if streaming
-            else CacheShuffleSort(executor, codec, cluster)
-        )
+    relay = provisioned = None
+    if substrate == "cache":
+        provisioned = cloud.cache.provision_ready("cache.r5.large", nodes=2)
     elif substrate == "sharded-relay":
-        relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = StreamingShuffleSort(
-            executor, codec,
-            backend=StreamingShardedRelayExchange(relay, stream=stream),
-        )
-    else:
-        relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = (
-            StreamingShuffleSort(
-                executor, codec, backend=StreamingRelayExchange(relay, stream=stream)
-            )
-            if streaming
-            else RelayShuffleSort(executor, codec, relay)
-        )
+        relay = provisioned = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+    elif substrate == "relay":
+        relay = provisioned = relay_ready(cloud.vms, "bx2-8x32")
+    backend = exchange_backend(
+        substrate, provisioned, stream=stream if streaming else None
+    )
+    operator = ShuffleSort(executor, codec, backend=backend)
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)
@@ -201,14 +172,18 @@ class TestBackpressure:
 
 
 class TestStreamingOperatorGuards:
-    def test_rejects_staged_backend(self):
-        cloud = Cloud.fresh(seed=SEED, profile=ibm_us_east(deterministic=True))
-        executor = FunctionExecutor(cloud)
-        with pytest.raises(ShuffleError, match="streaming backend"):
-            StreamingShuffleSort(
-                executor, FixedWidthCodec(record_size=16, key_bytes=8),
-                backend=ObjectStoreExchange(),
-            )
+    def test_mode_is_the_backends_stream_field(self):
+        staged = ObjectStoreExchange()
+        streaming = ObjectStoreExchange(stream=StreamConfig())
+        assert (staged.mode, streaming.mode) == ("staged", "streaming")
+        # Process labels and default prefixes stay per (substrate, mode):
+        # keys feed the fleet's CRC routing.
+        assert (staged.process_label, staged.default_out_prefix) == (
+            "shuffle", "shuffle-out"
+        )
+        assert (streaming.process_label, streaming.default_out_prefix) == (
+            "streamshuffle", "streaming-shuffle"
+        )
 
     def test_report_as_dict_carries_streaming_fields(self, staged_baseline):
         payload, _baseline, _ = staged_baseline
@@ -262,7 +237,7 @@ class TestExchangeReportFields:
             backend.report(4, None, 2.5, extra={"overlap_s": 99.0})
 
     def test_streaming_backend_reports_streaming_mode(self):
-        backend = StreamingObjectStoreExchange()
+        backend = ObjectStoreExchange(stream=StreamConfig())
         assert backend.report(4, None, 1.0).mode == "streaming"
 
     def test_streaming_backend_plans_with_the_streaming_model(self):
@@ -272,7 +247,9 @@ class TestExchangeReportFields:
         profile = ibm_us_east()
         size = 3.5 * (1 << 30)
         staged_plan = ObjectStoreExchange().plan(size, profile, 64)
-        streaming_plan = StreamingObjectStoreExchange().plan(size, profile, 64)
+        streaming_plan = ObjectStoreExchange(stream=StreamConfig()).plan(
+            size, profile, 64
+        )
         assert streaming_plan.predicted_s < staged_plan.predicted_s
         chosen = streaming_plan.point(streaming_plan.workers)
         assert "pipelined_exchange" in chosen.breakdown

@@ -7,7 +7,7 @@ never exceed capacity — across randomized schedules.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import FairShareLink, Resource, Simulator, TokenBucket
@@ -25,6 +25,9 @@ class TestLinkConservation:
         ),
         capacity=st.floats(1e3, 1e9),
     )
+    # Two tiny flows whose completion timers clamp up to the minimum
+    # tick: the drain used to overshoot and report 5.0 bytes for 4.25.
+    @example(transfers=[(0.0, 2.0), (0.0, 2.25)], capacity=1e9)
     @settings(max_examples=60, deadline=None)
     def test_all_bytes_delivered_exactly_once(self, transfers, capacity):
         sim = Simulator(seed=1)

@@ -119,6 +119,26 @@ class TestTokenBucket:
         sim.run()
         assert [tag for tag, _t in order] == ["big", "s1", "s2"]
 
+    def test_sub_ulp_shortfall_at_large_now_completes(self, sim):
+        """A shortfall whose refill time is below the float resolution of
+        ``now`` must still be served, not re-woken at the same instant."""
+        bucket = TokenBucket(sim, rate=1e3, capacity=1.0)
+        served = []
+
+        def worker():
+            yield sim.timeout(1e6)
+            yield bucket.consume(1.0 - 1e-9)  # leaves 1e-9 tokens
+            # Shortfall 1e-9 -> 1e-12 s of refill, far below ulp(1e6).
+            yield bucket.consume(2e-9)
+            served.append(sim.now)
+
+        sim.process(worker())
+        for _ in range(10_000):
+            if served or not sim.step():
+                break
+        assert served, "token bucket livelocked below the clock's resolution"
+        assert served[0] == pytest.approx(1e6)
+
     def test_consume_more_than_capacity_rejected(self, sim):
         bucket = TokenBucket(sim, rate=1.0, capacity=2.0)
         with pytest.raises(SimulationError):
