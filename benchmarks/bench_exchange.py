@@ -55,6 +55,10 @@ def test_exchange_worker_sweep(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
+    # The per-run report prints host-clock rates; keep the table to the
+    # simulated columns so it regenerates byte-identical.
+    for row in rows:
+        row.pop("_report", None)
     headers = list(rows[0].keys())
     record_result(
         "s8_exchange_worker_sweep",

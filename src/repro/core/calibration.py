@@ -24,9 +24,11 @@ import dataclasses
 import typing as t
 
 from repro.cloud.profiles import GB, CloudProfile, ibm_us_east, profile_named
-from repro.shuffle.cacheplanner import CacheShuffleCostModel
-from repro.shuffle.planner import ShuffleCostModel
-from repro.shuffle.relayplanner import RelayShuffleCostModel
+from repro.shuffle.planner import (
+    CacheShuffleCostModel,
+    RelayShuffleCostModel,
+    ShuffleCostModel,
+)
 
 
 @dataclasses.dataclass(slots=True)

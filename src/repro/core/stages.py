@@ -69,10 +69,10 @@ from repro.shuffle.content import (
     lineage_cache_for,
     lineage_outputs_present,
 )
-from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.online import OnlineShuffleSort
 from repro.shuffle.operator import ShuffleSort, exchange_backend
-from repro.shuffle.relayplanner import (
+from repro.shuffle.planner import (
+    required_cache_nodes,
     required_relay_fleet,
     required_relay_instance,
 )

@@ -30,13 +30,17 @@ from repro.executor.speculation import SpeculationPolicy
 from repro.methcomp.codec import compression_ratio, gzip_ratio
 from repro.methcomp.datagen import MethylomeGenerator
 from repro.methcomp.pipeline import bed_record_codec
-from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.operator import ShuffleSort, exchange_backend
-from repro.shuffle.planner import plan_shuffle
+from repro.shuffle.planner import (
+    plan_shuffle,
+    predict_relay_shuffle_time,
+    required_cache_nodes,
+    required_relay_fleet,
+    resolve_relay_instance,
+)
 from repro.shuffle.adaptive import EXCHANGE_SUBSTRATES
 from repro.errors import ShuffleError
 from repro.shuffle.relay import ShardedRelayExchange
-from repro.shuffle.relayplanner import required_relay_fleet
 from repro.shuffle.streaming import StreamConfig
 from repro.sim import Simulator
 
@@ -520,10 +524,6 @@ def sweep_skew(
     the bench) and the skew-aware planner's prediction at the measured
     skew, so the bench can check predicted-vs-actual tracking.
     """
-    from repro.shuffle.relayplanner import (
-        predict_relay_shuffle_time,
-        resolve_relay_instance,
-    )
     from repro.shuffle.skew import KEY_DISTRIBUTIONS
 
     base = config if config is not None else ExperimentConfig()

@@ -61,9 +61,9 @@ from repro.executor.executor import FunctionExecutor
 from repro.shuffle.adaptive import FleetScaleDecision, plan_fleet_scale
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.operator import ShuffleSort, exchange_backend
-from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
+from repro.shuffle.planner import (
     SHARD_IMBALANCE_HEADROOM,
+    RelayShuffleCostModel,
     required_relay_fleet,
 )
 from repro.sim import SimEvent, TokenBucket

@@ -11,7 +11,9 @@ them by name.  The execution mode is a field of the backend: given a
 :class:`StreamConfig` it runs *streaming*, where the reduce wave
 overlaps the map wave.  Workers reach every substrate through one
 :class:`ExchangePort`.  :func:`choose_exchange_substrate` picks
-substrate — and execution mode — analytically.
+substrate — and execution mode — analytically, on the one cost model
+of :mod:`repro.shuffle.planner` (a shared prediction skeleton fed each
+substrate's all-to-all terms).
 """
 
 from repro.shuffle.adaptive import (
@@ -27,16 +29,8 @@ from repro.shuffle.adaptive import (
     choose_exchange_substrate,
     fit_profile,
     fit_stream_profiles,
-    streaming_chunk_count,
-    streaming_chunk_overhead_s,
 )
 from repro.shuffle.cacheoperator import CacheExchange
-from repro.shuffle.cacheplanner import (
-    CacheShuffleCostModel,
-    plan_cache_shuffle,
-    predict_cache_shuffle_time,
-    required_cache_nodes,
-)
 from repro.shuffle.kernels import (
     DecimalFieldKeySpec,
     KernelFallback,
@@ -79,12 +73,30 @@ from repro.shuffle.orderby import (
 )
 from repro.shuffle.ports import ExchangePort, partition_key
 from repro.shuffle.planner import (
+    CacheShuffleCostModel,
+    ExchangeCostModel,
+    ExchangeTerms,
     PlanPoint,
+    RelayShuffleCostModel,
+    RelayShufflePlan,
     ShuffleCostModel,
     ShufflePlan,
+    plan_cache_shuffle,
+    plan_exchange,
+    plan_relay_shuffle,
     plan_shuffle,
+    predict_cache_shuffle_time,
+    predict_exchange_time,
+    predict_relay_shuffle_time,
     predict_shuffle_time,
     predict_streaming_shuffle_time,
+    required_cache_nodes,
+    required_relay_fleet,
+    required_relay_instance,
+    resolve_relay_instance,
+    streaming_chunk_count,
+    streaming_chunk_overhead_s,
+    streaming_curve,
 )
 from repro.shuffle.records import FixedWidthCodec, LineRecordCodec, RecordCodec
 from repro.shuffle.relay import (
@@ -92,16 +104,6 @@ from repro.shuffle.relay import (
     RelayExchange,
     ShardedRelayExchange,
     build_rebalance_assignments,
-)
-from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
-    RelayShufflePlan,
-    plan_relay_shuffle,
-    predict_relay_shuffle_time,
-    relay_usable_bytes,
-    required_relay_fleet,
-    required_relay_instance,
-    resolve_relay_instance,
 )
 from repro.shuffle.sampler import (
     choose_boundaries,
@@ -158,7 +160,6 @@ __all__ = [
     "fit_stream_profiles",
     "plan_relay_shuffle",
     "predict_relay_shuffle_time",
-    "relay_usable_bytes",
     "required_relay_fleet",
     "required_relay_instance",
     "resolve_relay_instance",
@@ -166,6 +167,11 @@ __all__ = [
     "plan_cache_shuffle",
     "predict_cache_shuffle_time",
     "required_cache_nodes",
+    "ExchangeCostModel",
+    "ExchangeTerms",
+    "plan_exchange",
+    "predict_exchange_time",
+    "streaming_curve",
     "DecimalFieldKeySpec",
     "FixedWidthCodec",
     "GroupByResult",

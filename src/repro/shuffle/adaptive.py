@@ -36,35 +36,32 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 import statistics
 import typing as t
 
 from repro.cloud.profiles import CloudProfile, LatencyModel
 from repro.errors import ShuffleError
-from repro.shuffle.cacheplanner import (
-    CacheShuffleCostModel,
-    plan_cache_shuffle,
-    predict_cache_shuffle_time,
-    required_cache_nodes,
-)
 from repro.shuffle.planner import (
+    SHARD_IMBALANCE_HEADROOM,
+    CacheShuffleCostModel,
+    ExchangeCostModel,
+    ExchangeTerms,
     PlanPoint,
+    RelayShuffleCostModel,
     ShuffleCostModel,
     ShufflePlan,
+    best_plan,
+    cache_terms,
+    objectstore_terms,
+    plan_exchange,
     plan_shuffle,
-    predict_shuffle_time,
-    predict_streaming_shuffle_time,
-)
-from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
-    SHARD_IMBALANCE_HEADROOM,
-    plan_relay_shuffle,
-    predict_relay_shuffle_time,
-    relay_usable_bytes,
+    relay_terms,
+    required_cache_nodes,
     required_relay_fleet,
     required_relay_instance,
+    resolve_cache_node,
     resolve_relay_instance,
+    streaming_curve,
 )
 from repro.sim import SimEvent
 
@@ -272,36 +269,6 @@ EXCHANGE_SUBSTRATES = ("objectstore", "cache", "relay", "sharded-relay")
 EXCHANGE_MODES = ("staged", "streaming")
 
 
-def streaming_chunk_count(
-    logical_bytes: float, workers: int, chunk_bytes: float
-) -> int:
-    """Chunks per mapper at one worker count (the pipelining grain)."""
-    if chunk_bytes <= 0:
-        raise ShuffleError(f"chunk_bytes must be positive, got {chunk_bytes}")
-    return max(1, math.ceil((logical_bytes / max(1, workers)) / chunk_bytes))
-
-
-def streaming_chunk_overhead_s(profile: CloudProfile, substrate: str) -> float:
-    """Per-chunk request overhead of the readiness protocol.
-
-    What the streaming mode pays per chunk that staging never does: one
-    manifest PUT + one discovery GET on object storage, one notification
-    read + one extra write round trip on the cache, two relay round
-    trips on the relay family.  Multiplied by the chunk count in
-    :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`, this
-    is the term that keeps infinitely fine chunking from winning.
-    """
-    if substrate == "objectstore":
-        store = profile.objectstore
-        return store.write_latency.mean + store.read_latency.mean
-    if substrate == "cache":
-        memstore = profile.memstore
-        return memstore.write_latency.mean + memstore.read_latency.mean
-    if substrate in ("relay", "sharded-relay"):
-        return 2.0 * profile.vm.relay_request_latency.mean
-    raise ShuffleError(f"unknown exchange substrate {substrate!r}")
-
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class SubstrateEstimate:
     """One substrate's predicted execution, priced."""
@@ -406,10 +373,10 @@ def fit_stream_profiles(
     expected transfer time at the calibrated bandwidth and a residual;
     the residual is attributed to the substrate's readiness-protocol
     latency knobs (the same two round trips
-    :func:`streaming_chunk_overhead_s` charges), **never revising a
-    knob below its calibrated prior** — the refit reacts to observed
-    degradation monotonically and deterministically, so the decision
-    timeline of a seeded run is reproducible.
+    :func:`~repro.shuffle.planner.streaming_chunk_overhead_s` charges),
+    **never revising a knob below its calibrated prior** — the refit
+    reacts to observed degradation monotonically and deterministically,
+    so the decision timeline of a seeded run is reproducible.
     """
     fitted = copy.deepcopy(profile)
     for sample in samples:
@@ -561,10 +528,9 @@ def choose_exchange_substrate(
     ``modes`` makes the *execution mode* a decision variable alongside
     the substrate: with ``("staged", "streaming")`` every substrate is
     additionally priced in the pipelined streaming mode
-    (:func:`~repro.shuffle.planner.predict_streaming_shuffle_time` over
+    (:func:`~repro.shuffle.planner.streaming_curve` over
     ``stream_chunk_bytes``-sized chunks, charged the substrate's
-    per-chunk readiness overhead via
-    :func:`streaming_chunk_overhead_s`), and the winner may be e.g.
+    per-chunk readiness overhead), and the winner may be e.g.
     "relay, streaming".  With ``workers=None`` each mode picks its own
     optimal worker count from the same curve.  Exact ties break staged
     before streaming (the simpler machine).  ``stream_chunked_input``
@@ -574,9 +540,9 @@ def choose_exchange_substrate(
 
     The provisioned term is what object storage never pays: cache
     node-seconds (for a cluster sized by
-    :func:`~repro.shuffle.cacheplanner.required_cache_nodes`), relay
+    :func:`~repro.shuffle.planner.required_cache_nodes`), relay
     VM-seconds + boot volume (instance sized by
-    :func:`~repro.shuffle.relayplanner.required_relay_instance` unless
+    :func:`~repro.shuffle.planner.required_relay_instance` unless
     pinned), or — for the sharded relay — N of those: the selector
     prices every shard count up to ``max_relay_shards`` and keeps the
     best-scoring fleet, which is how aggregate NIC bandwidth is traded
@@ -659,45 +625,43 @@ def choose_exchange_substrate(
             )
         )
 
-    def mode_points(
-        substrate: str, staged_points: t.Sequence[PlanPoint], mode: str
-    ) -> list[PlanPoint]:
-        """The candidate curve of one execution mode (staged = as-is)."""
-        if mode == "staged":
-            return list(staged_points)
-        overhead = streaming_chunk_overhead_s(profile, substrate)
-        return [
-            predict_streaming_shuffle_time(
-                point,
-                streaming_chunk_count(
-                    logical_bytes, point.workers, stream_chunk_bytes
-                ),
-                overhead,
-                chunked_input=stream_chunked_input,
-            )
-            for point in staged_points
-        ]
+    pinned = None if workers is None else (workers,)
+
+    def staged_curve(
+        cost: ExchangeCostModel, terms: ExchangeTerms
+    ) -> tuple[PlanPoint, ...]:
+        """The staged curve of one substrate configuration (one point
+        when the worker count is pinned)."""
+        return plan_exchange(
+            logical_bytes, profile, cost, terms, max_workers=max_workers,
+            candidates=pinned, skew=partition_skew,
+        ).curve
 
     def best_estimate(
         substrate: str,
-        staged_points: t.Sequence[PlanPoint],
+        staged: tuple[PlanPoint, ...],
         infra_usd_of: t.Callable[[float], float],
         mode: str,
         shards: int = 1,
         instance_type: str = "",
     ) -> SubstrateEstimate:
-        """The mode's best-scoring point of one substrate configuration."""
-        point = min(
-            mode_points(substrate, staged_points, mode),
-            key=lambda point: (point.total_s, point.workers),
+        """The mode's best-scoring point of one substrate configuration
+        (the streaming curve is derived from the staged one)."""
+        plan = best_plan(
+            staged
+            if mode == "staged"
+            else streaming_curve(
+                staged, logical_bytes, profile, substrate, stream_chunk_bytes,
+                chunked_input=stream_chunked_input,
+            )
         )
-        infra = infra_usd_of(point.total_s)
+        infra = infra_usd_of(plan.predicted_s)
         return SubstrateEstimate(
             substrate=substrate,
-            workers=point.workers,
-            predicted_s=point.total_s,
+            workers=plan.workers,
+            predicted_s=plan.predicted_s,
             provisioned_usd=infra,
-            score_usd=point.total_s * time_value_per_s + infra,
+            score_usd=plan.predicted_s * time_value_per_s + infra,
             feasible=True,
             shards=shards,
             instance_type=instance_type,
@@ -706,7 +670,7 @@ def choose_exchange_substrate(
 
     def add_modes(
         substrate: str,
-        staged_points: t.Sequence[PlanPoint],
+        staged: tuple[PlanPoint, ...],
         infra_usd_of: t.Callable[[float], float],
         shards: int = 1,
         instance_type: str = "",
@@ -715,7 +679,7 @@ def choose_exchange_substrate(
             if mode in wanted_modes:
                 estimates.append(
                     best_estimate(
-                        substrate, staged_points, infra_usd_of, mode,
+                        substrate, staged, infra_usd_of, mode,
                         shards=shards, instance_type=instance_type,
                     )
                 )
@@ -731,40 +695,20 @@ def choose_exchange_substrate(
 
     relay_cost = relay_cost if relay_cost is not None else RelayShuffleCostModel()
 
-    def relay_points(instance_type, shards: int) -> list[PlanPoint]:
-        if workers is None:
-            return list(
-                plan_relay_shuffle(
-                    logical_bytes, profile, instance_type.name, relay_cost,
-                    max_workers=max_workers, shards=shards,
-                    skew=partition_skew,
-                ).curve
-            )
-        return [
-            predict_relay_shuffle_time(
-                logical_bytes, workers, profile, instance_type, relay_cost,
-                shards=shards, skew=partition_skew,
-            )
-        ]
+    def relay_points(instance_type, shards: int) -> tuple[PlanPoint, ...]:
+        return staged_curve(
+            relay_cost,
+            relay_terms(profile, instance_type, shards, relay_cost.include_boot),
+        )
 
     # --- object storage: pay-as-you-go, no provisioned term -----------
     if "objectstore" in wanted:
         cos_cost = shuffle_cost if shuffle_cost is not None else ShuffleCostModel()
-        if workers is None:
-            cos_points = list(
-                plan_shuffle(
-                    logical_bytes, profile, cos_cost, max_workers=max_workers,
-                    skew=partition_skew,
-                ).curve
-            )
-        else:
-            cos_points = [
-                predict_shuffle_time(
-                    logical_bytes, workers, profile, cos_cost,
-                    skew=partition_skew,
-                )
-            ]
-        add_modes("objectstore", cos_points, lambda _s: 0.0)
+        add_modes(
+            "objectstore",
+            staged_curve(cos_cost, objectstore_terms(profile, cos_cost)),
+            lambda _s: 0.0,
+        )
 
     # --- cache cluster: node-seconds over the predicted duration ------
     if "cache" in wanted:
@@ -772,22 +716,11 @@ def choose_exchange_substrate(
             logical_bytes, profile, cache_node_type,
             partition_skew=partition_skew,
         )
-        node_type = profile.memstore.catalog[cache_node_type]
-        cache_cost = cache_cost if cache_cost is not None else CacheShuffleCostModel()
-        if workers is None:
-            cache_points = list(
-                plan_cache_shuffle(
-                    logical_bytes, profile, cache_node_type, nodes, cache_cost,
-                    max_workers=max_workers, skew=partition_skew,
-                ).curve
-            )
-        else:
-            cache_points = [
-                predict_cache_shuffle_time(
-                    logical_bytes, workers, profile, node_type, nodes,
-                    cache_cost, skew=partition_skew,
-                )
-            ]
+        node_type = resolve_cache_node(profile, cache_node_type)
+        cache_points = staged_curve(
+            cache_cost if cache_cost is not None else CacheShuffleCostModel(),
+            cache_terms(profile, node_type, nodes),
+        )
 
         def cache_infra(predicted_s: float) -> float:
             billed = max(predicted_s, profile.memstore.minimum_billed_s)
@@ -805,7 +738,7 @@ def choose_exchange_substrate(
             # configuration error, not infeasibility — surface it.
             instance_type = resolve_relay_instance(profile, relay_instance_type)
             relay_type_name: str | None = relay_instance_type
-            usable = relay_usable_bytes(profile, instance_type)
+            usable = profile.vm.relay_usable_bytes(instance_type)
             if logical_bytes > usable:
                 # A real flavour that cannot hold the shuffle is genuine
                 # infeasibility (RelayExchange.validate would reject it).
@@ -854,7 +787,7 @@ def choose_exchange_substrate(
         else:
             fleet_instance = resolve_relay_instance(profile, fleet_type_name)
             # One staged curve per shard count, shared across modes
-            # (mode_points derives the streaming curve from it).
+            # (best_estimate derives the streaming curve from it).
             shard_curves = {
                 shards: relay_points(fleet_instance, shards)
                 for shards in range(min_shards, max_relay_shards + 1)
@@ -954,7 +887,7 @@ def plan_fleet_scale(
     ``demand_bytes`` is the observed load — the sum of logical exchange
     bytes of every running *and queued* job (the service's queue depth
     expressed in the unit the sizing model understands).  The target is
-    whatever :func:`~repro.shuffle.relayplanner.required_relay_fleet`
+    whatever :func:`~repro.shuffle.planner.required_relay_fleet`
     sizes for that demand with the given ``partition_skew``, clamped to
     ``[min_shards, max_shards]``.
 

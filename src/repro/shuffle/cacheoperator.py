@@ -18,9 +18,13 @@ from __future__ import annotations
 from repro.cloud.memstore.service import MemStoreCluster
 from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
-from repro.shuffle.cacheplanner import CacheShuffleCostModel, plan_cache_shuffle
 from repro.shuffle.exchange import ExchangeBackend
-from repro.shuffle.planner import ShufflePlan
+from repro.shuffle.planner import (
+    CacheShuffleCostModel,
+    ExchangeTerms,
+    cache_terms,
+    resolve_cache_node,
+)
 from repro.shuffle.streaming import StreamConfig
 
 
@@ -56,16 +60,11 @@ class CacheExchange(ExchangeBackend):
         # to the caller); report per-sort deltas, not lifetime totals.
         self._stats_baseline = self.cluster.stats_totals()
 
-    def staged_plan(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        return plan_cache_shuffle(
-            logical_size,
+    def exchange_terms(self, profile: CloudProfile) -> ExchangeTerms:
+        return cache_terms(
             profile,
-            self.cluster.node_type.name,
+            resolve_cache_node(profile, self.cluster.node_type.name),
             len(self.cluster.nodes),
-            self.cost,
-            max_workers=max_workers,
         )
 
     def port_route(self, out_bucket: str) -> dict:

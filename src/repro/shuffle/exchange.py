@@ -9,8 +9,9 @@ the generic :class:`~repro.shuffle.operator.ShuffleSort` drives one
 
 * **feasibility** (:meth:`ExchangeBackend.validate`) — provisioned
   substrates have finite memory; object storage does not;
-* **planning** (:meth:`ExchangeBackend.plan`) — each substrate has its
-  own analytic cost model picking the worker count;
+* **planning** (:meth:`ExchangeBackend.plan`) — each substrate supplies
+  its all-to-all terms (:meth:`ExchangeBackend.exchange_terms`) to the
+  one analytic model that picks the worker count;
 * **the port route** (:meth:`ExchangeBackend.port_route`) — which
   :class:`~repro.shuffle.ports.ExchangePort` the shared worker stages
   open, and the substrate knobs its verbs need;
@@ -51,12 +52,15 @@ import typing as t
 
 from repro.cloud.profiles import CloudProfile
 from repro.obs.metrics import publish_exchange_report
-from repro.shuffle.adaptive import streaming_chunk_count, streaming_chunk_overhead_s
 from repro.shuffle.planner import (
+    ExchangeCostModel,
+    ExchangeTerms,
     ShuffleCostModel,
     ShufflePlan,
-    plan_shuffle,
-    predict_streaming_shuffle_time,
+    best_plan,
+    objectstore_terms,
+    plan_exchange,
+    streaming_curve,
 )
 from repro.shuffle.ports import objectstore_segments
 from repro.shuffle.records import RecordCodec
@@ -193,9 +197,8 @@ class ExchangeBackend(abc.ABC):
     around ``on_map_done`` → ``report`` over each sort; a backend may serve
     several sequential sorts (a reused operator), so per-sort
     bookkeeping (stat baselines, peaks) belongs in ``validate``.  The
-    ``cost`` attribute must expose the shared workload constants
-    (``peek_bytes``, ``sample_bytes``, ``sample_keys``,
-    ``partition_throughput``, ``sort_throughput``).
+    ``cost`` attribute is the substrate's
+    :class:`~repro.shuffle.planner.ExchangeCostModel`.
 
     ``stream`` picks the execution mode: ``None`` runs the exchange
     *staged* (map barrier before the reduce wave), a
@@ -217,7 +220,7 @@ class ExchangeBackend(abc.ABC):
     #: losing attempts out of stateful substrates.
     supports_speculation: t.ClassVar[bool] = True
 
-    def __init__(self, cost: t.Any, stream: StreamConfig | None = None):
+    def __init__(self, cost: ExchangeCostModel, stream: StreamConfig | None = None):
         self.cost = cost
         #: Streaming knobs, or ``None`` for the staged execution mode.
         self.stream = stream
@@ -265,10 +268,8 @@ class ExchangeBackend(abc.ABC):
     # planning
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def staged_plan(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        """Pick the worker count with this substrate's (staged) cost model."""
+    def exchange_terms(self, profile: CloudProfile) -> ExchangeTerms:
+        """This substrate's all-to-all terms of the analytic model."""
 
     def plan(
         self, logical_size: float, profile: CloudProfile, max_workers: int
@@ -276,32 +277,24 @@ class ExchangeBackend(abc.ABC):
         """Pick the worker count for the mode this backend runs in.
 
         A streaming backend transforms the staged curve point by point
-        through :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`
-        (this configuration's chunk grain, the substrate's per-chunk
-        readiness overhead) and picks the minimizing worker count from
-        the transformed curve — so an auto-planned streaming sort sizes
-        its wave for the mode it actually runs, and the report's
+        (:func:`~repro.shuffle.planner.streaming_curve`: this
+        configuration's chunk grain, the substrate's per-chunk readiness
+        overhead) and picks the minimizing worker count from the
+        transformed curve — so an auto-planned streaming sort sizes its
+        wave for the mode it actually runs, and the report's
         ``predicted_s`` is comparable to its streaming ``actual_s``.
         """
-        staged = self.staged_plan(logical_size, profile, max_workers)
+        staged = plan_exchange(
+            logical_size, profile, self.cost, self.exchange_terms(profile),
+            max_workers=max_workers,
+        )
         if self.stream is None:
             return staged
-        overhead = streaming_chunk_overhead_s(profile, self.name)
-        curve = tuple(
-            predict_streaming_shuffle_time(
-                point,
-                streaming_chunk_count(
-                    logical_size, point.workers, self.stream.chunk_bytes
-                ),
-                overhead,
+        return best_plan(
+            streaming_curve(
+                staged.curve, logical_size, profile, self.name,
+                self.stream.chunk_bytes,
             )
-            for point in staged.curve
-        )
-        best = min(curve, key=lambda point: (point.total_s, point.workers))
-        # replace() keeps subclass plans (RelayShufflePlan's shard count
-        # and instance type) intact.
-        return dataclasses.replace(
-            staged, workers=best.workers, predicted_s=best.total_s, curve=curve
         )
 
     # ------------------------------------------------------------------
@@ -514,10 +507,8 @@ class ObjectStoreExchange(ExchangeBackend):
             "dedup_bytes": self._store.stats.dedup_bytes - base_bytes,
         }
 
-    def staged_plan(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        return plan_shuffle(logical_size, profile, self.cost, max_workers=max_workers)
+    def exchange_terms(self, profile: CloudProfile) -> ExchangeTerms:
+        return objectstore_terms(profile, self.cost)
 
     def port_route(self, out_bucket: str) -> dict:
         return {"kind": "objectstore", "bucket": out_bucket}

@@ -62,23 +62,25 @@ from repro.shuffle.adaptive import (
     choose_exchange_substrate,
     fit_stream_profiles,
 )
-from repro.shuffle.cacheplanner import CacheShuffleCostModel
 from repro.shuffle.content import build_run_manifest
 from repro.shuffle.exchange import ExchangeReport, ObjectStoreExchange
 from repro.shuffle.operator import ShuffleResult, ShuffleSort, _jsonable, _split
-from repro.shuffle.planner import ShuffleCostModel
+from repro.shuffle.planner import (
+    CacheShuffleCostModel,
+    RelayShuffleCostModel,
+    ShuffleCostModel,
+)
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.relay import (
     PartitionLoadRouter,
     build_chunk_rebalance_assignments,
     build_rebalance_assignments,
 )
-from repro.shuffle.relayplanner import RelayShuffleCostModel
 from repro.shuffle import kernels
 from repro.shuffle.ports import ExchangePort
 from repro.shuffle.sampler import partition_skew_of
 from repro.shuffle.stages import read_split
-from repro.shuffle.streaming import StreamConfig, _StreamBuffer
+from repro.shuffle.streaming import StreamConfig, buffered_stream_reduce
 from repro.sim import SimEvent
 from repro.storage import paths
 from repro.storage.serializer import deserialize, serialize
@@ -226,81 +228,32 @@ def online_stream_reducer(ctx, task: dict) -> t.Generator:
     substrate comes from that wave's route record, so the reducer keeps
     fetching seamlessly across mid-stream substrate switches (chunks
     published before a switch keep their old route).  Buffering,
-    backpressure and the incremental sorter mirror the streaming
-    reducer; the reassembly order (mapper-major, then chunk) is the
-    staged record order, so the sorted run is byte-identical.
+    backpressure, the incremental sorter and the reassembly are the
+    streaming reducer's
+    (:func:`~repro.shuffle.streaming.buffered_stream_reduce`); the
+    grid's chunk counts end each mapper's stream, so no fetcher waits
+    for buffer space past its last chunk.
     """
     started_at = ctx.sim.now
-    codec: RecordCodec = task["codec"]
     reducer_id = task["reducer_id"]
     poll_interval = task["poll_interval"]
     raw = yield from _poll_object(
         ctx, task["bucket"], online_grid_key(task["ctl_prefix"]), poll_interval
     )
     grid = deserialize(raw)
-    mappers: int = grid["mappers"]
-    chunk_counts: list[int] = grid["chunks"]
     routes = _RouteTable(ctx, task["bucket"], task["ctl_prefix"], poll_interval)
-    buffer = _StreamBuffer(ctx.sim, task["buffer_bytes"])
-    chunks: dict[int, dict[int, bytes]] = {m: {} for m in range(mappers)}
-    finished = {"fetchers": 0}
 
-    def consume_stream(mapper_id: int) -> t.Generator:
-        for chunk_index in range(chunk_counts[mapper_id]):
-            yield from buffer.wait_for_space()
-            port = yield from routes.port(chunk_index)
-            data = yield from port.fetch_chunk(mapper_id, reducer_id, chunk_index)
-            chunks[mapper_id][chunk_index] = data
-            buffer.arrived(len(data), len(data) * ctx.logical_scale)
-        finished["fetchers"] += 1
-        buffer.notify_work()
+    def fetch(mapper_id: int, chunk_index: int) -> t.Generator:
+        port = yield from routes.port(chunk_index)
+        return (yield from port.fetch_chunk(mapper_id, reducer_id, chunk_index))
 
-    def sorter() -> t.Generator:
-        while True:
-            if buffer.queue:
-                real_len, logical = buffer.queue.popleft()
-                if real_len > 0:
-                    yield ctx.compute_bytes(real_len, task["sort_throughput"])
-                buffer.drained(logical)
-                continue
-            if finished["fetchers"] == mappers:
-                return
-            yield buffer.work_event()
-
-    fetchers = [
-        ctx.track(
-            ctx.sim.process(
-                consume_stream(mapper_id), name=f"onlinefetch-m{mapper_id}"
-            )
+    return (
+        yield from buffered_stream_reduce(
+            ctx, task, started_at, grid["mappers"], fetch,
+            task["buffer_bytes"], ("onlinefetch", "onlinesort"),
+            chunk_counts=grid["chunks"],
         )
-        for mapper_id in range(mappers)
-    ]
-    sort_process = ctx.track(ctx.sim.process(sorter(), name="onlinesort"))
-    yield ctx.sim.all_of(
-        [process.completion for process in fetchers] + [sort_process.completion]
     )
-
-    payload = b"".join(
-        chunks[mapper_id][chunk_index]
-        for mapper_id in range(mappers)
-        for chunk_index in range(chunk_counts[mapper_id])
-    )
-    outcome = kernels.sort_buffer(codec, payload)
-    yield ctx.storage.put(
-        task["out_bucket"], task["output_key"], outcome.output, dedup=True
-    )
-    return {
-        "records": outcome.records,
-        "bytes": len(outcome.output),
-        "output_key": task["output_key"],
-        "buffer_waits": buffer.waits,
-        "buffer_wait_s": buffer.wait_s,
-        "buffer_high_watermark_bytes": buffer.high_watermark,
-        "started_at": started_at,
-        "kernel": outcome.kernel,
-        "kernel_records": outcome.records,
-        "kernel_s": outcome.elapsed_s,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -37,11 +37,12 @@ from repro.cloud.vm.relay import PartitionRelay
 from repro.errors import ShuffleError
 from repro.executor.partitioner import assign_balanced
 from repro.shuffle.exchange import ExchangeBackend
-from repro.shuffle.planner import ShufflePlan
-from repro.shuffle.relayplanner import (
+from repro.shuffle.planner import (
     SHARD_IMBALANCE_HEADROOM,
+    ExchangeTerms,
     RelayShuffleCostModel,
-    plan_relay_shuffle,
+    relay_terms,
+    resolve_relay_instance,
 )
 from repro.shuffle.streaming import StreamConfig
 
@@ -374,21 +375,17 @@ class RelayExchange(ExchangeBackend):
         Without load-aware rebalancing, hash routing can park a hot
         partition entirely on one shard, so admission budgets the
         workload's expected partition skew — the runtime twin of
-        :func:`~repro.shuffle.relayplanner.required_relay_fleet`'s
+        :func:`~repro.shuffle.planner.required_relay_fleet`'s
         skew-aware sizing.
         """
         return max(1.0, self.cost.expected_skew)
 
-    def staged_plan(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        return plan_relay_shuffle(
-            logical_size,
+    def exchange_terms(self, profile: CloudProfile) -> ExchangeTerms:
+        return relay_terms(
             profile,
-            self.relay.instance_type_name,
-            self.cost,
-            max_workers=max_workers,
-            shards=self.shards,
+            resolve_relay_instance(profile, self.relay.instance_type_name),
+            self.shards,
+            self.cost.include_boot,
         )
 
     def port_route(self, out_bucket: str) -> dict:

@@ -256,19 +256,48 @@ def streaming_shuffle_reducer(ctx, task: dict) -> t.Generator:
     killed attempt tears the whole pipeline down.
     """
     started_at = ctx.sim.now
-    codec: RecordCodec = task["codec"]
     port = ExchangePort.open(ctx, task["stream"])
     reducer_id = task["reducer_id"]
-    mappers = task["mappers"]
-    buffer = _StreamBuffer(ctx.sim, task["stream"]["buffer_bytes"])
+    return (
+        yield from buffered_stream_reduce(
+            ctx, task, started_at, task["mappers"],
+            lambda mapper_id, chunk: port.next_chunk(mapper_id, reducer_id, chunk),
+            task["stream"]["buffer_bytes"], ("streamfetch", "streamsort"),
+        )
+    )
+
+
+def buffered_stream_reduce(
+    ctx,
+    task: dict,
+    started_at: float,
+    mappers: int,
+    fetch: t.Callable[[int, int], t.Generator],
+    buffer_bytes: float | None,
+    process_names: tuple[str, str],
+    chunk_counts: t.Sequence[int] | None = None,
+) -> t.Generator:
+    """The body every streaming reducer shares: fetch, sort, write.
+
+    One fetcher per mapper (sim process ``<process_names[0]>-m<mapper>``)
+    pulls chunks in order through ``fetch(mapper_id, chunk_index)`` into
+    the bounded buffer, stopping at ``chunk_counts[mapper]`` when known
+    or else when ``fetch`` returns ``None``; one sorter
+    (``process_names[1]``) drains it.  Reassembly in (mapper, chunk)
+    order — the staged reducer's record order — then the same stable
+    sort: byte parity.
+    """
+    codec: RecordCodec = task["codec"]
+    buffer = _StreamBuffer(ctx.sim, buffer_bytes)
     chunks: dict[int, list[bytes]] = {m: [] for m in range(mappers)}
     finished = {"fetchers": 0}
+    fetch_name, sort_name = process_names
 
     def consume_stream(mapper_id: int) -> t.Generator:
         chunk_index = 0
-        while True:
+        while chunk_counts is None or chunk_index < chunk_counts[mapper_id]:
             yield from buffer.wait_for_space()
-            data = yield from port.next_chunk(mapper_id, reducer_id, chunk_index)
+            data = yield from fetch(mapper_id, chunk_index)
             if data is None:
                 break
             chunks[mapper_id].append(data)
@@ -292,18 +321,16 @@ def streaming_shuffle_reducer(ctx, task: dict) -> t.Generator:
     fetchers = [
         ctx.track(
             ctx.sim.process(
-                consume_stream(mapper_id), name=f"streamfetch-m{mapper_id}"
+                consume_stream(mapper_id), name=f"{fetch_name}-m{mapper_id}"
             )
         )
         for mapper_id in range(mappers)
     ]
-    sort_process = ctx.track(ctx.sim.process(sorter(), name="streamsort"))
+    sort_process = ctx.track(ctx.sim.process(sorter(), name=sort_name))
     yield ctx.sim.all_of(
         [process.completion for process in fetchers] + [sort_process.completion]
     )
 
-    # Reassemble in (mapper, chunk) order — exactly the record order the
-    # staged reducer sees — then the same stable sort: byte parity.
     payload = b"".join(
         segment for mapper_id in range(mappers) for segment in chunks[mapper_id]
     )

@@ -24,11 +24,7 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.executor import FunctionExecutor
 from repro.service import ExchangeService, ServiceSaturated
 from repro.shuffle import FixedWidthCodec, ShardedRelayExchange, ShuffleSort
-from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
-    relay_usable_bytes,
-    resolve_relay_instance,
-)
+from repro.shuffle.planner import RelayShuffleCostModel, resolve_relay_instance
 
 RECORDS = 2000
 WORKERS = 4
@@ -259,8 +255,8 @@ class TestAutoscaling:
         cloud = fresh_cloud(seed=17)
         cloud.store.ensure_bucket("data")
         profile = cloud.profile
-        usable = relay_usable_bytes(
-            profile, resolve_relay_instance(profile, INSTANCE)
+        usable = profile.vm.relay_usable_bytes(
+            resolve_relay_instance(profile, INSTANCE)
         )
         payloads = {seed: make_payload(RECORDS, seed) for seed in (31, 32, 33)}
         svc = make_service(cloud, tenant_burst=3.0, tenant_rate_per_s=0.5)
@@ -295,8 +291,8 @@ class TestAutoscaling:
         cloud = fresh_cloud(seed=19)
         cloud.store.ensure_bucket("data")
         profile = cloud.profile
-        usable = relay_usable_bytes(
-            profile, resolve_relay_instance(profile, INSTANCE)
+        usable = profile.vm.relay_usable_bytes(
+            resolve_relay_instance(profile, INSTANCE)
         )
         payload = make_payload(RECORDS, 7)
         svc = make_service(cloud, tenant_burst=2.0, tenant_rate_per_s=0.5)

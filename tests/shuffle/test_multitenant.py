@@ -23,7 +23,7 @@ from repro.shuffle import (
     SkewSpec,
     skewed_fixed_payload,
 )
-from repro.shuffle.relayplanner import RelayShuffleCostModel
+from repro.shuffle.planner import RelayShuffleCostModel
 
 RECORDS = 2000
 WORKERS = 4

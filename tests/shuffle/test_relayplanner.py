@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.profiles import GB, ibm_us_east
 from repro.errors import ShuffleError
-from repro.shuffle.relayplanner import (
+from repro.shuffle.planner import (
     RelayShuffleCostModel,
     RelayShufflePlan,
     plan_relay_shuffle,

@@ -30,13 +30,12 @@ from repro.shuffle import (
     predict_streaming_shuffle_time,
     skewed_keys,
 )
-from repro.shuffle.cacheplanner import predict_cache_shuffle_time
-from repro.shuffle.relayplanner import (
+from repro.shuffle.planner import (
     SHARD_IMBALANCE_HEADROOM,
     hot_shard_bytes,
     plan_relay_shuffle,
+    predict_cache_shuffle_time,
     predict_relay_shuffle_time,
-    relay_usable_bytes,
     required_relay_fleet,
     resolve_relay_instance,
 )
@@ -200,8 +199,8 @@ class TestSkewAwareFleetSizing:
     INSTANCE = "bx2-8x32"
 
     def usable(self):
-        return relay_usable_bytes(
-            PROFILE, resolve_relay_instance(PROFILE, self.INSTANCE)
+        return PROFILE.vm.relay_usable_bytes(
+            resolve_relay_instance(PROFILE, self.INSTANCE)
         )
 
     def test_hot_shard_bytes_is_the_skewed_mean_capped_at_everything(self):
@@ -297,8 +296,8 @@ class TestSkewAwareFleetSizing:
             )
         except ShuffleError:
             return
-        usable = relay_usable_bytes(
-            PROFILE, resolve_relay_instance(PROFILE, name)
+        usable = PROFILE.vm.relay_usable_bytes(
+            resolve_relay_instance(PROFILE, name)
         )
         assert SHARD_IMBALANCE_HEADROOM * hot_shard_bytes(
             logical, shards, skew
